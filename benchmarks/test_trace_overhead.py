@@ -1,8 +1,9 @@
 """Acceptance: disabled tracing costs <= 2 % wall time.
 
-A ``TraceConfig(enabled=False)`` produces no bus, so every emission site
-reduces to a single ``if self.tracer is not None`` guard — the same guard
-a traceless system evaluates.  This benchmark pins that contract with an
+A ``TraceConfig(enabled=False)`` produces no trace ring, so nothing
+subscribes to the system bus's ``trace-event`` topic and every emission
+site reduces to one ``if topic:`` truth test on an empty subscriber list
+— the same test a traceless system evaluates.  This benchmark pins that contract with an
 interleaved min-of-N measurement (min is the standard noise filter for
 wall-clock micro-benchmarks: every source of interference only ever adds
 time).  For context it also reports the cost of *enabled* tracing, which

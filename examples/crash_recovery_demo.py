@@ -13,7 +13,7 @@ import random
 
 from repro.common.config import LoggingConfig, SystemConfig
 from repro.core import make_system
-from repro.core.system import CrashInjected
+from repro.core.system import CrashInjected, at_tx_crash_points
 from repro.workloads import make_workload
 from repro.workloads.base import WorkloadParams
 
@@ -35,7 +35,7 @@ def crash_run(design: str, crash_at: int, seed: int = 1234) -> None:
         if counter[0] >= crash_at:
             raise CrashInjected()
 
-    system.crash_hook = power_cut
+    system.bus.subscribe("crash-point", at_tx_crash_points(power_cut))
     committed = 0
     try:
         while True:

@@ -39,12 +39,12 @@ def main() -> None:
     count = save_trace(path, recorder.ops)
     print("captured %d ops from %s -> %s" % (count, workload_name, path))
 
-    # 2. Reload and replay under the analysis tap.
+    # 2. Reload and replay with the collector subscribed to every store.
     ops = load_trace(path)
     replay = TraceWorkload(ops)
     system = make_system("FWB-CRADE", default_config())
     collector = TraceCollector(track_patterns=True)
-    system.trace = collector
+    system.bus.subscribe("tx-store", collector.on_tx_store)
     system.run(replay, replay.total_transactions(), n_threads=2)
 
     # 3. The paper's motivation numbers for this stream.

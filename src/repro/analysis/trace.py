@@ -1,21 +1,28 @@
 """Store-stream trace collection (the paper's PIN instrumentation).
 
 The motivation studies (Figures 3 and 5, Table II) monitor the writes
-inside transactions.  :class:`TraceCollector` plugs into
-``System.trace`` and records, per thread:
+inside transactions.  :class:`TraceCollector` subscribes its
+:meth:`~TraceCollector.on_tx_store` to a system's ``tx-store`` topic and
+records, per thread:
 
 - the word-granularity write-distance stream (writes between two writes to
   the same address, ``First Write`` for the first touch);
 - clean/dirty byte counts per store;
 - which DLDC pattern (if any) the dirty bytes of each store compress to.
+
+:func:`collect_stores` runs a workload under a collector (Figures 3 and
+5); :func:`dldc_pattern_census` averages Table II over workloads.
 """
 
 from collections import OrderedDict
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.common.bitops import WORD_BYTES, dirty_byte_mask, select_bytes
+from repro.common.config import SystemConfig
 from repro.common.stats import Histogram
+from repro.core.designs import make_system
 from repro.encoding.dldc import PATTERN_NAMES, dldc_compress_pattern
+from repro.workloads.base import WorkloadParams, make_workload
 
 
 class TraceCollector:
@@ -43,7 +50,7 @@ class TraceCollector:
         )
 
     # ------------------------------------------------------------------
-    # System hook
+    # tx-store subscriber
     # ------------------------------------------------------------------
 
     def on_tx_store(self, tid: int, txid: int, addr: int, old: int, new: int) -> None:
@@ -119,3 +126,52 @@ class TraceCollector:
         return OrderedDict(
             (name, count / total) for name, count in self.pattern_counts.items()
         )
+
+
+def collect_stores(
+    workload_name: str,
+    n_transactions: int,
+    n_threads: int,
+    params: Optional[WorkloadParams] = None,
+    config: Optional[SystemConfig] = None,
+    track_patterns: bool = False,
+) -> TraceCollector:
+    """Run a workload with a collector subscribed to every store.
+
+    Figures 3 and 5 read its write distances and clean bytes.  The
+    measurement is design-independent (it observes the raw store
+    stream), so any design works; we use the baseline.
+    """
+    system = make_system("FWB-CRADE", config)
+    collector = TraceCollector(track_patterns=track_patterns)
+    system.bus.subscribe("tx-store", collector.on_tx_store)
+    system.run(make_workload(workload_name, params), n_transactions, n_threads)
+    return collector
+
+
+def dldc_pattern_census(
+    workload_names,
+    n_transactions: int = 200,
+    n_threads: int = 4,
+    params: Optional[WorkloadParams] = None,
+    config: Optional[SystemConfig] = None,
+) -> "OrderedDict[str, float]":
+    """Table II: average per-pattern fractions of dirty log data.
+
+    Mirrors Table II's last column ("percentage of dirty log data that can
+    be compressed with the given pattern", averaged over applications).
+    """
+    totals: "OrderedDict[str, float]" = OrderedDict()
+    n_workloads = 0
+    for name in workload_names:
+        collector = collect_stores(
+            name, n_transactions, n_threads, params, config, track_patterns=True
+        )
+        for pattern, fraction in collector.pattern_fractions().items():
+            totals[pattern] = totals.get(pattern, 0.0) + fraction
+        n_workloads += 1
+    if n_workloads == 0:
+        raise ValueError("no workloads given")
+    return OrderedDict(
+        (pattern, value / n_workloads) for pattern, value in totals.items()
+    )

@@ -68,56 +68,39 @@ def load_trace(path: str) -> List[TraceOp]:
     return ops
 
 
-class _RecordingCtx:
-    """A TxContext proxy that logs every access it forwards."""
-
-    def __init__(self, inner, tid: int, sink: List[TraceOp]) -> None:
-        self._inner = inner
-        self._tid = tid
-        self._sink = sink
-
-    def load(self, addr: int) -> int:
-        self._sink.append(TraceOp("load", self._tid, addr))
-        return self._inner.load(addr)
-
-    def store(self, addr: int, value: int) -> None:
-        self._sink.append(TraceOp("store", self._tid, addr, value))
-        self._inner.store(addr, value)
-
-    def load_words(self, addr: int, count: int):
-        return [self.load(addr + 8 * i) for i in range(count)]
-
-    def store_words(self, addr: int, values) -> None:
-        for i, value in enumerate(values):
-            self.store(addr + 8 * i, value)
-
-    def fill(self, addr: int, count: int, value: int = 0) -> None:
-        for i in range(count):
-            self.store(addr + 8 * i, value)
-
-    def compute(self, cycles: int) -> None:
-        self._inner.compute(cycles)
-
-
 class RecordingWorkload(Workload):
-    """Wraps a workload, capturing its transactional accesses."""
+    """Wraps a workload, capturing its transactional accesses.
+
+    Each transaction body runs with this recorder subscribed to the
+    system's ``op-load`` and ``op-store`` topics, so the captured ops are
+    exactly the loads and stores the body issued, in order.
+    """
 
     def __init__(self, inner: Workload) -> None:
         super().__init__(inner.params)
         self.inner = inner
         self.name = "record(%s)" % inner.name
         self.ops: List[TraceOp] = []
+        self._bus = None
 
     def setup(self, system, n_threads: int) -> None:
         self.inner.setup(system, n_threads)
+        self._bus = system.bus
 
     def transaction(self, tid: int):
         body = self.inner.transaction(tid)
         ops = self.ops
+        subscriptions = {
+            "op-load": lambda addr: ops.append(TraceOp("load", tid, addr)),
+            "op-store": lambda addr, value: ops.append(
+                TraceOp("store", tid, addr, value)
+            ),
+        }
 
         def recording_body(ctx):
             ops.append(TraceOp("begin", tid))
-            body(_RecordingCtx(ctx, tid, ops))
+            with self._bus.subscribed(subscriptions):
+                body(ctx)
             ops.append(TraceOp("commit", tid))
 
         return recording_body

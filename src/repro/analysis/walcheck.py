@@ -5,16 +5,17 @@ WAL ordering: *the oldest undo data of a word must be persistent before
 any in-place NVMM write overwrites the word's pre-transaction value*.
 This monitor verifies the invariant while the simulation runs:
 
-- it watches transactional stores (via ``System.trace``) to learn each
-  in-flight transaction's (word, pre-transaction value) pairs;
-- it watches the log region's appends to learn when each word's
-  undo+redo entry became persistent and when transactions commit;
-- it watches the memory controller's in-place NVMM data writes and
-  records a violation whenever a write would change a tracked word away
-  from its pre-transaction value while its undo is still volatile.
+- the ``tx-store`` topic tells it each in-flight transaction's
+  (word, pre-transaction value) pairs;
+- the ``log-append`` topic tells it when each word's undo+redo entry
+  became persistent and when transactions commit;
+- the ``data-write`` topic shows it every in-place NVMM data write, and
+  it records a violation whenever a write would change a tracked word
+  away from its pre-transaction value while its undo is still volatile.
 
-Attach with :func:`attach_wal_checker`; compose with another trace
-consumer by passing it as ``forward_to``.
+Attach with :func:`attach_wal_checker`.  The checker is one subscriber
+among any others on the system's bus, and stays subscribed across
+``reset_machine``.
 """
 
 from dataclasses import dataclass
@@ -43,26 +44,31 @@ class WalViolation:
 class WalChecker:
     """Tracks in-flight words and flags premature in-place writes."""
 
-    def __init__(self, forward_to=None) -> None:
+    def __init__(self) -> None:
         # (txid, addr) -> pre-transaction value, while undo not persisted.
         self._unlogged: Dict[Tuple[int, int], int] = {}
         # addr -> {txid} with any live tracking (for the write hook).
         self._by_addr: Dict[int, set] = {}
         self.violations: List[WalViolation] = []
         self.checked_writes = 0
-        self._forward = forward_to
 
-    # -- System.trace hook ------------------------------------------------
+    def subscriptions(self):
+        """``{topic: subscriber}`` for :meth:`EventBus.subscribe_all`."""
+        return {
+            "tx-store": self.on_tx_store,
+            "log-append": self.on_log_append,
+            "data-write": self.on_data_write,
+        }
+
+    # -- tx-store topic -----------------------------------------------------
 
     def on_tx_store(self, tid: int, txid: int, addr: int, old: int, new: int) -> None:
         key = (txid, addr)
         if key not in self._unlogged:
             self._unlogged[key] = old
             self._by_addr.setdefault(addr, set()).add(txid)
-        if self._forward is not None:
-            self._forward.on_tx_store(tid, txid, addr, old, new)
 
-    # -- LogRegion append hook ----------------------------------------------
+    # -- log-append topic ---------------------------------------------------
 
     def on_log_append(self, record) -> None:
         if record.type is EntryType.UNDO_REDO:
@@ -81,7 +87,7 @@ class WalChecker:
                 if not txids:
                     del self._by_addr[key[1]]
 
-    # -- MemoryController write hook ---------------------------------------
+    # -- data-write topic ---------------------------------------------------
 
     def on_data_write(self, line_addr: int, words) -> None:
         self.checked_writes += 1
@@ -102,14 +108,8 @@ class WalChecker:
             )
 
 
-def attach_wal_checker(system, forward_to=None) -> WalChecker:
-    """Wire a :class:`WalChecker` into a system's debug taps."""
-    checker = WalChecker(forward_to=forward_to)
-    system.trace = checker
-    system.controller.data_write_observer = checker.on_data_write
-    regions = getattr(system.log_region, "regions", None)
-    if regions is None:
-        regions = [system.log_region]
-    for region in regions:
-        region.append_observer = checker.on_log_append
+def attach_wal_checker(system) -> WalChecker:
+    """Subscribe a new :class:`WalChecker` to a system's event bus."""
+    checker = WalChecker()
+    system.bus.subscribe_all(checker.subscriptions())
     return checker

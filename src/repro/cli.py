@@ -60,6 +60,12 @@ from repro.experiments import figures
 from repro.experiments.runner import ExperimentScale, default_config, run_design
 from repro.workloads.base import DatasetSize, MACRO_WORKLOADS, MICRO_WORKLOADS
 
+#: Workloads the single-cell commands (run, trace, profile) accept:
+#: micro + macro plus "mix", the default 70/20/10 traffic blend run
+#: closed-loop.  Grid and figure commands stay micro+macro so figure
+#: grids keep their shape.
+CELL_WORKLOADS = MICRO_WORKLOADS + MACRO_WORKLOADS + ("mix",)
+
 FIGURES = {
     "fig3": lambda scale: figures.fig3_table(figures.fig3_write_distance(scale)),
     "fig5": lambda scale: figures.fig5_table(figures.fig5_clean_bytes(scale)),
@@ -112,9 +118,7 @@ def _parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--workload",
         default="echo",
-        # "mix" is the default 70/20/10 traffic blend run closed-loop;
-        # grid/figure stay micro+macro so figure grids keep their shape.
-        choices=MICRO_WORKLOADS + MACRO_WORKLOADS + ("mix",),
+        choices=CELL_WORKLOADS,
     )
     run_p.add_argument("--transactions", type=int, default=200)
     run_p.add_argument("--threads", type=int, default=4)
@@ -344,9 +348,7 @@ def _parser() -> argparse.ArgumentParser:
         help="design name or alias (undo-redo/morlog/morlog-dp/fwb/"
         "undo-only/redo-only)",
     )
-    tr_p.add_argument(
-        "workload", choices=MICRO_WORKLOADS + MACRO_WORKLOADS
-    )
+    tr_p.add_argument("workload", choices=CELL_WORKLOADS)
     tr_p.add_argument(
         "--out", default="trace.json",
         help="Chrome trace_event JSON output (load in Perfetto)",
@@ -368,9 +370,7 @@ def _parser() -> argparse.ArgumentParser:
         help="run one cell under the host-side phase profiler",
     )
     pr_p.add_argument("design", help="design name or alias")
-    pr_p.add_argument(
-        "workload", choices=MICRO_WORKLOADS + MACRO_WORKLOADS
-    )
+    pr_p.add_argument("workload", choices=CELL_WORKLOADS)
     pr_p.add_argument("--transactions", type=int, default=None)
     pr_p.add_argument("--threads", type=int, default=None)
     pr_p.add_argument("--large", action="store_true", help="4 KB dataset items")

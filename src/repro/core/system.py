@@ -22,10 +22,27 @@ from repro.core.transaction import TxContext
 from repro.logging_hw.base import HardwareLogger, TransactionInfo
 from repro.logging_hw.region import LiveEntry, LogRegion, LogRegionSet
 from repro.memory.controller import MemoryController
+from repro.trace.bus import EventBus
 
 
 class CrashInjected(Exception):
     """Raised by crash-injection hooks to cut execution mid-transaction."""
+
+
+#: The crash points before every transactional store (temporal or not)
+#: and every commit sequence.
+TX_CRASH_POINTS = frozenset(("tx-store", "tx-nt-store", "tx-commit"))
+
+
+def at_tx_crash_points(hook: Callable[[], None]) -> Callable[..., None]:
+    """A ``crash-point`` subscriber running ``hook()`` at each of
+    :data:`TX_CRASH_POINTS`, e.g. a power cut after N stores."""
+
+    def subscriber(point: str, **_detail) -> None:
+        if point in TX_CRASH_POINTS:
+            hook()
+
+    return subscriber
 
 
 @dataclass
@@ -68,35 +85,56 @@ class System:
         logger_factory: Callable[..., HardwareLogger],
         design_name: str = "custom",
         trace_config=None,
+        bus: Optional[EventBus] = None,
     ) -> None:
         config.validate()
         self.config = config
         self.design_name = design_name
         self._logger_factory = logger_factory
         self._ran = False
+        if bus is None:
+            # A new machine: one bus for its lifetime, plus the trace
+            # ring when tracing was requested.  reset_machine passes the
+            # bus back in, so both outlive every rebuild.
+            bus = EventBus()
+            self.tracer = (
+                trace_config.make_bus() if trace_config is not None else None
+            )
+            if self.tracer is not None:
+                bus.subscribe("trace-event", self.tracer.emit)
+        self.bus = bus
+        self._setup_store = bus.topic("setup-store")
+        self._tx_dispatch = bus.topic("tx-dispatch")
+        self._tx_store = bus.topic("tx-store")
+        self._tx_committed = bus.topic("tx-committed")
+        self._crash_point = bus.topic("crash-point")
+        self._emit = bus.topic("trace-event")
         self.stats = StatGroup("system")
-        self.controller = MemoryController(config, self.stats)
-        log_base = config.nvmm_base + config.nvm.size_bytes
-        if config.logging.distributed_logs:
-            self.log_region = LogRegionSet(
-                self.controller,
-                log_base,
-                config.logging.log_region_bytes,
-                config.cores.n_cores,
-                self.stats,
-                on_overflow=self._handle_log_overflow,
-            )
-        else:
-            self.log_region = LogRegion(
-                self.controller,
-                log_base,
-                config.logging.log_region_bytes,
-                self.stats,
-                on_overflow=self._handle_log_overflow,
-            )
-        self.logger = logger_factory(config, self.controller, self.log_region, self.stats)
-        self.hierarchy = CacheHierarchy(config, self.controller, self.stats, self.logger)
-        self.logger.hierarchy = self.hierarchy
+        # Building publishes nothing: formatting the log region writes
+        # NVMM, but subscribers observe runs, not construction.
+        with bus.paused():
+            self.controller = MemoryController(config, self.stats, bus)
+            log_base = config.nvmm_base + config.nvm.size_bytes
+            if config.logging.distributed_logs:
+                self.log_region = LogRegionSet(
+                    self.controller,
+                    log_base,
+                    config.logging.log_region_bytes,
+                    config.cores.n_cores,
+                    self.stats,
+                    on_overflow=self._handle_log_overflow,
+                )
+            else:
+                self.log_region = LogRegion(
+                    self.controller,
+                    log_base,
+                    config.logging.log_region_bytes,
+                    self.stats,
+                    on_overflow=self._handle_log_overflow,
+                )
+            self.logger = logger_factory(config, self.controller, self.log_region, self.stats)
+            self.hierarchy = CacheHierarchy(config, self.controller, self.stats, self.logger)
+            self.logger.hierarchy = self.hierarchy
 
         n = config.cores.n_cores
         self.core_time_ns: List[float] = [0.0] * n
@@ -121,59 +159,6 @@ class System:
         self._line_txs: Dict[int, set] = {}
         if self._tx_table:
             self.logger.data_persisted_hook = self._on_line_persisted
-        # Optional analysis tap: object with on_tx_store(tid, txid, addr,
-        # old, new) (see repro.analysis.trace).
-        self.trace = None
-        # Optional replay-recording tap: object with on_setup_store /
-        # on_tx_dispatch / on_tx_store plus the TxContext op hooks
-        # (see repro.replay.recorder.TraceRecorder).
-        self.recorder = None
-        # Optional crash hook called before every transactional store
-        # (temporal and non-temporal) and before every commit sequence.
-        self.crash_hook: Optional[Callable[[], None]] = None
-        # Optional fault-injection plan observing named crash points
-        # (see repro.faultinject.plan); installed on every layer at once.
-        self.crash_plan = None
-        # Structured event tracing (see repro.trace): a TraceBus every
-        # layer publishes typed events to, or None — the emission sites
-        # are all guarded so a traceless run pays only the None test.
-        self.tracer = None
-        self.trace_config = trace_config
-        if trace_config is not None and trace_config.enabled:
-            self.install_tracer(trace_config.make_bus())
-
-    def install_crash_plan(self, plan) -> None:
-        """Thread a fault-injection plan through every persistence layer.
-
-        The same plan object lands on the system, the logger, each log
-        region and the NVM module, so its event indices form one global
-        order across all persist boundaries.  Pass None to uninstall.
-        """
-        self.crash_plan = plan
-        self.logger.crash_plan = plan
-        self.controller.nvm.crash_plan = plan
-        if isinstance(self.log_region, LogRegionSet):
-            for region in self.log_region.regions:
-                region.crash_plan = plan
-        else:
-            self.log_region.crash_plan = plan
-
-    def install_tracer(self, bus) -> None:
-        """Attach a trace bus to every event-publishing layer.
-
-        Mirrors :meth:`install_crash_plan`: the same bus object lands on
-        the system, the logger, each log region and the NVM module, so
-        the exported stream is one globally-ordered sequence of events.
-        Pass None to detach.
-        """
-        self.tracer = bus
-        self.logger.tracer = bus
-        self.controller.nvm.set_tracer(bus)
-        if isinstance(self.log_region, LogRegionSet):
-            for region in self.log_region.regions:
-                region.tracer = bus
-        else:
-            self.log_region.tracer = bus
 
     # ------------------------------------------------------------------
     # Core-visible memory operations
@@ -206,14 +191,10 @@ class System:
         old = line.word(index)
         tx = self.current_tx[core]
         if tx is not None and self.controller.is_persistent(addr):
-            if self.crash_hook is not None:
-                self.crash_hook()
-            if self.crash_plan is not None:
-                self.crash_plan.fire("tx-store", txid=tx.txid, addr=addr)
-            if self.trace is not None:
-                self.trace.on_tx_store(tx.tid, tx.txid, addr, old, value)
-            if self.recorder is not None:
-                self.recorder.on_tx_store(addr, old, value)
+            if self._crash_point:
+                self._crash_point("tx-store", txid=tx.txid, addr=addr)
+            if self._tx_store:
+                self._tx_store(tx.tid, tx.txid, addr, old, value)
             tx.n_stores += 1
             now = self.logger.on_store(tx, line, index, old, value, now)
             if self._tx_table:
@@ -235,18 +216,13 @@ class System:
         tx = self.current_tx[core]
         self.stats.add("nt_stores")
         if tx is not None and self.controller.is_persistent(addr):
-            if self.crash_hook is not None:
-                self.crash_hook()
-            if self.crash_plan is not None:
-                self.crash_plan.fire("tx-nt-store", txid=tx.txid, addr=addr)
+            if self._crash_point:
+                self._crash_point("tx-nt-store", txid=tx.txid, addr=addr)
             # Keep any cached copy coherent before bypassing the caches.
             now = self.hierarchy.flush_line(addr, now)
-            if self.trace is not None or self.recorder is not None:
+            if self._tx_store:
                 old = self.controller.nvm.array.read_logical(addr)
-                if self.trace is not None:
-                    self.trace.on_tx_store(tx.tid, tx.txid, addr, old, value)
-                if self.recorder is not None:
-                    self.recorder.on_tx_store(addr, old, value)
+                self._tx_store(tx.tid, tx.txid, addr, old, value)
             tx.n_stores += 1
             now = self.logger.on_nt_store(tx, addr, value, now)
             self._nt_staging.setdefault((tx.tid, tx.txid), {})[addr] = value
@@ -301,22 +277,20 @@ class System:
             return self.current_tx[core]
         tx = self.logger.begin_tx(core, self.core_time_ns[core])
         self.current_tx[core] = tx
-        if self.tracer is not None:
-            self.tracer.emit("tx-begin", "tx", tx.begin_ns, core=core, txid=tx.txid)
+        if self._emit:
+            self._emit("tx-begin", "tx", tx.begin_ns, core=core, txid=tx.txid)
         return tx
 
     def end_tx(self, core: int) -> None:
         tx = self.current_tx[core]
         if tx is None:
             raise RuntimeError("Tx_End without Tx_Begin on core %d" % core)
-        if self.crash_hook is not None:
-            self.crash_hook()
-        if self.crash_plan is not None:
-            self.crash_plan.fire("tx-commit", txid=tx.txid)
+        if self._crash_point:
+            self._crash_point("tx-commit", txid=tx.txid)
         now = self.logger.commit_tx(tx, self.core_time_ns[core])
         now = self._flush_nt_staging(tx, now)
-        if self.tracer is not None:
-            self.tracer.emit(
+        if self._emit:
+            self._emit(
                 "tx-commit",
                 "tx",
                 tx.begin_ns,
@@ -343,13 +317,15 @@ class System:
         except CrashInjected:
             # The machine "lost power": volatile state is gone, the
             # persistence domain stays as is.  Tests call recover() next.
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self._emit:
+                self._emit(
                     "tx-crash", "tx", self.core_time_ns[core],
                     core=core, txid=tx.txid,
                 )
             self.current_tx[core] = None
             raise
+        if self._tx_committed:
+            self._tx_committed(tx.txid)
         self._maybe_force_write_back()
 
     def dispatch_transaction(
@@ -371,8 +347,8 @@ class System:
         if arrival_ns is not None and self.core_time_ns[core] < arrival_ns:
             self.core_time_ns[core] = arrival_ns
         start_ns = self.core_time_ns[core]
-        if self.recorder is not None:
-            self.recorder.on_tx_dispatch(core)
+        if self._tx_dispatch:
+            self._tx_dispatch(core)
         self.run_transaction(core, body)
         return start_ns, self.core_time_ns[core]
 
@@ -382,8 +358,8 @@ class System:
 
     def setup_store(self, addr: int, value: int) -> None:
         """Install a word during workload setup, bypassing measurement."""
-        if self.recorder is not None:
-            self.recorder.on_setup_store(addr, value)
+        if self._setup_store:
+            self._setup_store(addr, value)
         if self.controller.is_persistent(addr):
             self.controller.nvm.array.write_logical(addr, value)
         else:
@@ -401,25 +377,13 @@ class System:
         run sees exactly what a fresh System would — cold caches, an
         empty log region, pristine NVM cells — instead of inheriting the
         previous run's residue.  Rebuilding via the constructor makes
-        that equivalence hold by construction; externally installed taps
-        (trace, crash hook, crash plan) survive the rebuild.
+        that equivalence hold by construction.  The rebuilt parts share
+        the same event bus, so every subscription — and the trace ring
+        with the events captured so far — survives the rebuild.
         """
-        trace = self.trace
-        recorder = self.recorder
-        crash_hook = self.crash_hook
-        crash_plan = self.crash_plan
-        tracer = self.tracer
-        trace_config = self.trace_config
-        self.__init__(self.config, self._logger_factory, self.design_name)
-        self.trace = trace
-        self.recorder = recorder
-        self.crash_hook = crash_hook
-        self.trace_config = trace_config
-        if crash_plan is not None:
-            self.install_crash_plan(crash_plan)
-        if tracer is not None:
-            # Reattach the same bus so events captured so far survive.
-            self.install_tracer(tracer)
+        self.__init__(
+            self.config, self._logger_factory, self.design_name, bus=self.bus
+        )
 
     def reset_measurement(self) -> None:
         """Zero all counters, clocks and run-loop state.
@@ -452,13 +416,13 @@ class System:
             self._next_fwb_ns += self._fwb_interval_ns
 
     def _run_fwb_scan(self, now_ns: float) -> float:
-        if self.crash_plan is not None:
-            self.crash_plan.fire("fwb-scan")
+        if self._crash_point:
+            self._crash_point("fwb-scan")
         done = self.hierarchy.force_write_back_scan(now_ns)
         done = self.logger.on_fwb_scan(done)
         self._scans_done += 1
-        if self.tracer is not None:
-            self.tracer.emit(
+        if self._emit:
+            self._emit(
                 "fwb-scan", "fwb", now_ns,
                 dur_ns=max(done - now_ns, 0.0), index=self._scans_done,
             )
@@ -580,9 +544,9 @@ class System:
         # reads only durable state, so the crashed logger instance is a
         # safe place to hang the hook.
         self.logger.recover_design_state(state)
-        if self.tracer is not None:
+        if self._emit:
             # Recovery runs on a fresh power-on timeline; ts 0 by design.
-            self.tracer.emit(
+            self._emit(
                 "recovery",
                 "recovery",
                 0.0,

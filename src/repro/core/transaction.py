@@ -24,6 +24,12 @@ class TxContext:
     def __init__(self, system, core: int) -> None:
         self._system = system
         self.core = core
+        # The program-level op topics (the replay recorder subscribes).
+        bus = system.bus
+        self._op_load = bus.topic("op-load")
+        self._op_store = bus.topic("op-store")
+        self._op_store_nt = bus.topic("op-store-nt")
+        self._op_compute = bus.topic("op-compute")
 
     # ------------------------------------------------------------------
     # Word accesses
@@ -33,9 +39,8 @@ class TxContext:
         """Load the 64-bit word at ``addr`` (must be word aligned)."""
         if addr % WORD_BYTES:
             raise ValueError("unaligned load at %#x" % addr)
-        recorder = self._system.recorder
-        if recorder is not None:
-            recorder.on_load(addr)
+        if self._op_load:
+            self._op_load(addr)
         return self._system.load_word(self.core, addr)
 
     def store(self, addr: int, value: int) -> None:
@@ -43,9 +48,8 @@ class TxContext:
         if addr % WORD_BYTES:
             raise ValueError("unaligned store at %#x" % addr)
         value = mask_word(value)
-        recorder = self._system.recorder
-        if recorder is not None:
-            recorder.on_store(addr, value)
+        if self._op_store:
+            self._op_store(addr, value)
         self._system.store_word(self.core, addr, value)
 
     def store_nt(self, addr: int, value: int) -> None:
@@ -53,9 +57,8 @@ class TxContext:
         if addr % WORD_BYTES:
             raise ValueError("unaligned store at %#x" % addr)
         value = mask_word(value)
-        recorder = self._system.recorder
-        if recorder is not None:
-            recorder.on_store_nt(addr, value)
+        if self._op_store_nt:
+            self._op_store_nt(addr, value)
         self._system.store_word_nt(self.core, addr, value)
 
     # ------------------------------------------------------------------
@@ -75,7 +78,6 @@ class TxContext:
 
     def compute(self, cycles: int) -> None:
         """Model non-memory work between accesses."""
-        recorder = self._system.recorder
-        if recorder is not None:
-            recorder.on_compute(cycles)
+        if self._op_compute:
+            self._op_compute(cycles)
         self._system.advance(self.core, cycles)

@@ -10,11 +10,9 @@ from collections import OrderedDict
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.clean_bytes import clean_byte_percentage
 from repro.analysis.overhead import morphable_logging_overhead, slde_overhead
-from repro.analysis.patterns import dldc_pattern_census
 from repro.analysis.report import format_table
-from repro.analysis.write_distance import write_distance_distribution
+from repro.analysis.trace import collect_stores, dldc_pattern_census
 from repro.common.config import SystemConfig
 from repro.common.stats import geometric_mean
 from repro.core.designs import DESIGN_NAMES, EXTENSION_DESIGN_NAMES, make_system
@@ -89,13 +87,13 @@ def fig3_write_distance(
     scale = scale or ExperimentScale()
     out: "OrderedDict[str, OrderedDict[str, float]]" = OrderedDict()
     for name in workloads:
-        out[name] = write_distance_distribution(
+        out[name] = collect_stores(
             name,
-            n_transactions=scale.transactions(True, DatasetSize.SMALL),
-            n_threads=scale.threads(True),
-            params=DEFAULT_PARAMS,
-            config=default_config(),
-        )
+            scale.transactions(True, DatasetSize.SMALL),
+            scale.threads(True),
+            DEFAULT_PARAMS,
+            default_config(),
+        ).distance_distribution()
     return out
 
 
@@ -119,13 +117,13 @@ def fig5_clean_bytes(
     scale = scale or ExperimentScale()
     out: "OrderedDict[str, float]" = OrderedDict()
     for name in workloads:
-        out[name] = clean_byte_percentage(
+        out[name] = 100.0 * collect_stores(
             name,
-            n_transactions=scale.transactions(True, DatasetSize.SMALL),
-            n_threads=scale.threads(True),
-            params=DEFAULT_PARAMS,
-            config=default_config(),
-        )
+            scale.transactions(True, DatasetSize.SMALL),
+            scale.threads(True),
+            DEFAULT_PARAMS,
+            default_config(),
+        ).clean_byte_fraction
     return out
 
 

@@ -15,7 +15,7 @@ are bit-identical either way because every cell is seeded.
 import os
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.common.config import LoggingConfig, SystemConfig
 from repro.common.errors import ConfigError
@@ -81,6 +81,50 @@ def resolve_params(
     return replace(params or DEFAULT_PARAMS, dataset=dataset)
 
 
+def resolve_counts(
+    workload_name: str,
+    dataset: DatasetSize = DatasetSize.SMALL,
+    scale: Optional[ExperimentScale] = None,
+    n_transactions: Optional[int] = None,
+    n_threads: Optional[int] = None,
+) -> Tuple[int, int]:
+    """The ``(n_transactions, n_threads)`` a cell runs with.
+
+    ``None`` means the scale's default for the workload.  An explicit
+    count must be positive: zero is a caller error, not a request for
+    the default.
+    """
+    for name, value in (("n_transactions", n_transactions), ("n_threads", n_threads)):
+        if value is not None and value <= 0:
+            raise ValueError(
+                "%s must be positive, got %r (omit it or pass None for the"
+                " scale default)" % (name, value)
+            )
+    scale = scale or ExperimentScale()
+    macro = workload_name in MACRO_NAMES
+    if n_transactions is None:
+        n_transactions = scale.transactions(macro, dataset)
+    if n_threads is None:
+        n_threads = scale.threads(macro)
+    return n_transactions, n_threads
+
+
+def build_cell(
+    design, workload_name, dataset=DatasetSize.SMALL, scale=None, config=None,
+    params=None, n_threads=None, n_transactions=None, trace=None,
+):
+    """``(system, workload, n_transactions, n_threads)`` for one cell:
+    the one place run, record and profile resolve a cell's arguments."""
+    n_transactions, n_threads = resolve_counts(
+        workload_name, dataset, scale, n_transactions, n_threads
+    )
+    system = make_system(
+        design, config if config is not None else default_config(), trace=trace
+    )
+    workload = make_workload(workload_name, resolve_params(params, dataset))
+    return system, workload, n_transactions, n_threads
+
+
 def run_design(
     design: str,
     workload_name: str,
@@ -115,7 +159,8 @@ def run_design_traced(
     n_transactions: Optional[int] = None,
     trace=None,
 ):
-    """Like :func:`run_design` but returns ``(RunResult, bus_or_None)``."""
+    """Like :func:`run_design` but returns ``(RunResult, ring_or_None)``:
+    the trace ring ``make_system`` attached when ``trace`` enables it."""
     result, system = run_design_system(
         design, workload_name, dataset, scale, config, params,
         n_threads, n_transactions, trace,
@@ -140,18 +185,11 @@ def run_design_system(
     cannot: the trace bus, and host-side diagnostics such as the codec
     memo counters (``system.controller.nvm.memo_stats()``).
     """
-    scale = scale or ExperimentScale()
-    config = config if config is not None else default_config()
-    params = resolve_params(params, dataset)
-    macro = workload_name in MACRO_NAMES
-    system = make_system(design, config, trace=trace)
-    workload = make_workload(workload_name, params)
-    result = system.run(
-        workload,
-        n_transactions or scale.transactions(macro, dataset),
-        n_threads or scale.threads(macro),
+    system, workload, n_transactions, n_threads = build_cell(
+        design, workload_name, dataset, scale, config, params,
+        n_threads, n_transactions, trace,
     )
-    return result, system
+    return system.run(workload, n_transactions, n_threads), system
 
 
 def run_grid(

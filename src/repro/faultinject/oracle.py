@@ -31,8 +31,9 @@ MAX_DIVERGENT_WORDS = 8
 class WriteSetTracker:
     """Records each transaction's oldest-old / newest-new value per word.
 
-    Doubles as the ``system.trace`` tap and as the commit-order journal
-    the sweep driver feeds after each successful ``end_tx``.
+    Subscribes to ``tx-store`` for the write sets and to
+    ``tx-committed`` for the commit-order journal: each ``end_tx`` that
+    completed, in order.
     """
 
     def __init__(self) -> None:

@@ -2,9 +2,9 @@
 
 Every component that can mutate the persistence domain fires a *crash
 point* just before (and, where ordering proofs need it, just after) the
-mutation.  A :class:`CrashPlan` installed via
-:meth:`repro.core.system.System.install_crash_plan` observes the fired
-events in execution order and may raise
+mutation.  A :class:`CrashPlan` whose :meth:`~CrashPlan.fire` subscribes
+to a system's ``crash-point`` topic observes the fired events in
+execution order and may raise
 :class:`~repro.core.system.CrashInjected` at any of them — which models a
 power cut at exactly that boundary: all volatile state (caches, log
 buffers, L1 log-state bits) is lost and only the NVMM array survives.
@@ -99,8 +99,8 @@ class CrashPlan:
     """Base plan: observes fired crash points, never crashes.
 
     Subclasses override :meth:`on_event`; :meth:`fire` handles indexing
-    and point-name validation.  ``fire`` is called on hot paths, so the
-    components guard the call with a ``plan is not None`` check.
+    and point-name validation.  Subscribe it with
+    ``system.bus.subscribe("crash-point", plan.fire)``.
     """
 
     def __init__(self) -> None:

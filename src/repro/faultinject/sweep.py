@@ -265,11 +265,12 @@ def _drive(
     options: SweepOptions,
     trace=None,
 ) -> None:
-    """Run the workload with ``plan`` installed, mirroring System.run.
+    """Run the workload with ``plan`` subscribed, mirroring System.run.
 
-    The plan goes in only after setup (setup stores are untimed and
-    unlogged, hence crash-free by construction).  Raises CrashInjected or
-    _SweepAbort out of the loop; normal completion returns None.
+    The plan and the tracker subscribe only after setup (setup stores
+    are untimed and unlogged, hence crash-free by construction).  Raises
+    CrashInjected or _SweepAbort out of the loop; normal completion
+    returns None.
 
     ``trace`` (a :class:`repro.replay.StoreTrace`) swaps the workload for
     a recorded store stream: setup replays the trace's setup stores and
@@ -291,11 +292,13 @@ def _drive(
         limit = min(options.transactions, len(bodies))
     system.reset_measurement()
     system._active_threads = options.threads
-    system.trace = tracker
-    system.install_crash_plan(plan)
-    try:
-        dispatched = 0
-        while dispatched < limit:
+    subscriptions = {
+        "tx-store": tracker.on_tx_store,
+        "tx-committed": tracker.on_commit,
+        "crash-point": plan.fire,
+    }
+    with system.bus.subscribed(subscriptions):
+        for dispatched in range(limit):
             if bodies is None:
                 core = min(
                     range(options.threads), key=system.core_time_ns.__getitem__
@@ -304,19 +307,7 @@ def _drive(
             else:
                 core = cores[dispatched]
                 body = bodies[dispatched]
-            tx = system.begin_tx(core)
-            try:
-                body(system.contexts[core])
-                system.end_tx(core)
-            except CrashInjected:
-                system.current_tx[core] = None
-                raise
-            tracker.on_commit(tx.txid)
-            system._maybe_force_write_back()
-            dispatched += 1
-    finally:
-        system.install_crash_plan(None)
-        system.trace = None
+            system.run_transaction(core, body)
 
 
 def _select_indices(options: SweepOptions, total: int) -> Optional[Set[int]]:

@@ -62,12 +62,11 @@ class HardwareLogger(CacheListener):
         # Hook the system installs to learn when in-place data persist
         # (drives the transaction-table truncation policy, section III-F).
         self.data_persisted_hook = None
-        # Fault-injection plan (see repro.faultinject.plan), installed by
-        # System.install_crash_plan on every persistence layer at once.
-        self.crash_plan = None
-        # Trace bus (see repro.trace), installed by System.install_tracer.
-        # Observation-only: emissions never touch simulated state or time.
-        self.tracer = None
+        # The machine's event bus (see repro.trace.bus), shared through
+        # the controller: crash points for fault injection, typed events
+        # for the trace ring.  Publishing never touches simulated state.
+        self._crash_point = controller.bus.topic("crash-point")
+        self._emit = controller.bus.topic("trace-event")
         # Interned LogWriteContext instances, see _log_context.
         self._context_cache: dict = {}
 
@@ -179,9 +178,9 @@ class HardwareLogger(CacheListener):
 
     def persist_entry(self, entry: LogEntry, now_ns: float) -> WriteResult:
         """Write one buffer entry to the log region."""
-        plan = self.crash_plan
-        if plan is not None:
-            plan.fire("log-append", txid=entry.txid, addr=entry.addr)
+        crash_point = self._crash_point
+        if crash_point:
+            crash_point("log-append", txid=entry.txid, addr=entry.addr)
         context = self._log_context(entry)
         undo = None
         if entry.type is EntryType.UNDO_REDO:
@@ -189,15 +188,15 @@ class HardwareLogger(CacheListener):
         redo = LogDataWord(entry.redo, context)
         result = self.region.append(entry, now_ns, undo=undo, redo=redo)
         self.stats.add("entries_persisted")
-        if plan is not None:
+        if crash_point:
             point = (
                 "redo-persisted"
                 if entry.type is EntryType.REDO
                 else "undo-persisted"
             )
-            plan.fire(point, txid=entry.txid, addr=entry.addr)
-        if self.tracer is not None:
-            self.tracer.emit(
+            crash_point(point, txid=entry.txid, addr=entry.addr)
+        if self._emit:
+            self._emit(
                 "redo-persist" if entry.type is EntryType.REDO else "undo-persist",
                 "log",
                 now_ns,
@@ -213,15 +212,15 @@ class HardwareLogger(CacheListener):
         """Subclass hook: update L1 word states after a persist."""
 
     def persist_commit(self, record: CommitRecord, now_ns: float) -> WriteResult:
-        plan = self.crash_plan
-        if plan is not None:
-            plan.fire("commit-record", txid=record.txid)
+        crash_point = self._crash_point
+        if crash_point:
+            crash_point("commit-record", txid=record.txid)
         result = self.region.append(record, now_ns)
         self.stats.add("commits_persisted")
-        if plan is not None:
-            plan.fire("commit-persisted", txid=record.txid)
-        if self.tracer is not None:
-            self.tracer.emit(
+        if crash_point:
+            crash_point("commit-persisted", txid=record.txid)
+        if self._emit:
+            self._emit(
                 "commit-persist",
                 "log",
                 now_ns,

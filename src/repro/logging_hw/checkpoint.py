@@ -72,22 +72,22 @@ class CheckpointUndoLogger(UndoOnlyLogger):
         now_ns, _accept = self._persist_many(self.buffer.pop_all(), now_ns)
         if self.hierarchy is not None:
             for _ in range(2):
-                if self.crash_plan is not None:
-                    self.crash_plan.fire("fwb-scan")
+                if self._crash_point:
+                    self._crash_point("fwb-scan")
                 now_ns = self.hierarchy.force_write_back_scan(now_ns)
         covered = frozenset(self._committed)
-        if self.crash_plan is not None:
+        if self._crash_point:
             # Crash here: data fully checkpointed, log not yet compacted
             # — recovery must tolerate re-seeing the superseded entries.
-            self.crash_plan.fire("log-compaction", covered=len(covered))
+            self._crash_point("log-compaction", covered=len(covered))
         freed = self.region.truncate(lambda e: e.txid in covered, now_ns)
         self.stats.add("checkpoint_compacted_entries", freed)
-        if self.tracer is not None:
-            self.tracer.emit(
+        if self._emit:
+            self._emit(
                 "checkpoint", "log", now_ns,
                 compacted=freed, covered=len(covered),
             )
-            self.tracer.emit(
+            self._emit(
                 "word-state", "word-state", now_ns,
                 **{"from": "ULOG", "to": "CKPT"},
             )

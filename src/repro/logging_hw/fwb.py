@@ -84,8 +84,8 @@ class FwbLogger(HardwareLogger):
             redo=new_word,
             dirty_mask=mask,
         )
-        if self.tracer is not None:
-            self.tracer.emit(
+        if self._emit:
+            self._emit(
                 "log-create",
                 "log",
                 now_ns,
@@ -128,13 +128,13 @@ class FwbLogger(HardwareLogger):
     def before_llc_write_back(self, line_addr: int, now_ns: float) -> float:
         pending = self.buffer.pop_addr_range(line_addr, self.config.caches.line_bytes)
         if pending:
-            if self.crash_plan is not None:
+            if self._crash_point:
                 # Write-ahead boundary: these entries must reach the log
                 # before the in-place line write that triggered the flush.
-                self.crash_plan.fire("wal-flush", addr=line_addr)
+                self._crash_point("wal-flush", addr=line_addr)
             self.stats.add("wal_forced_flushes", len(pending))
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self._emit:
+                self._emit(
                     "wal-flush",
                     "log",
                     now_ns,

@@ -153,10 +153,10 @@ class InCllLogger(HardwareLogger):
         writes leaves a dead slot and the (not-yet-stored) word intact.
         A re-stamp rewrites only the metadata with the current epoch.
         """
-        plan = self.crash_plan
+        crash_point = self._crash_point
         if not restamp:
-            if plan is not None:
-                plan.fire("embedded-write", txid=entry.txid, addr=entry.slot_addr)
+            if crash_point:
+                crash_point("embedded-write", txid=entry.txid, addr=entry.slot_addr)
             result = self.controller.write_log_entry(
                 entry.slot_addr, [entry.undo], now_ns, kind=WriteKind.LOG
             )
@@ -164,8 +164,8 @@ class InCllLogger(HardwareLogger):
         meta = pack_embedded_meta(
             entry.word_index, entry.tid, entry.txid, self._epoch
         )
-        if plan is not None:
-            plan.fire(
+        if crash_point:
+            crash_point(
                 "embedded-write", txid=entry.txid, addr=entry.slot_addr + WORD_BYTES
             )
         result = self.controller.write_log_entry(
@@ -204,8 +204,8 @@ class InCllLogger(HardwareLogger):
             self._tx_embedded.setdefault(tx.txid, []).append(entry)
             now_ns = self._write_embedded(entry, now_ns)
             self.stats.add("embedded_entries")
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self._emit:
+                self._emit(
                     "word-state", "word-state", now_ns,
                     core=tx.tid, txid=tx.txid, addr=addr,
                     **{"from": "CLEAN", "to": "EMBEDDED"},
@@ -223,8 +223,8 @@ class InCllLogger(HardwareLogger):
         )
         result = self.persist_entry(overflow, now_ns)
         self.stats.add("incll_overflows")
-        if self.tracer is not None:
-            self.tracer.emit(
+        if self._emit:
+            self._emit(
                 "word-state", "word-state", now_ns,
                 core=tx.tid, txid=tx.txid, addr=addr,
                 **{"from": "CLEAN", "to": "OVERFLOW"},
@@ -236,8 +236,8 @@ class InCllLogger(HardwareLogger):
         for base in sorted(self._tx_lines.pop((tx.tid, tx.txid), ())):
             if self.hierarchy is None:
                 break
-            if self.crash_plan is not None:
-                self.crash_plan.fire("forced-writeback", txid=tx.txid, addr=base)
+            if self._crash_point:
+                self._crash_point("forced-writeback", txid=tx.txid, addr=base)
             done = self.hierarchy.write_back_line(base, now_ns)
             last_accept = max(last_accept, done)
             self.stats.add("forced_data_write_backs")
@@ -269,8 +269,8 @@ class InCllLogger(HardwareLogger):
         behind, which the ``_EPOCH_GRACE`` validity rule still accepts.
         """
         self._epoch += 1
-        if self.crash_plan is not None:
-            self.crash_plan.fire("embedded-write", addr=self._aux_base)
+        if self._crash_point:
+            self._crash_point("embedded-write", addr=self._aux_base)
         result = self.controller.write_log_entry(
             self._aux_base, [self._epoch], now_ns, kind=WriteKind.LOG
         )

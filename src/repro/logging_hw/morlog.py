@@ -132,8 +132,8 @@ class MorLogLogger(HardwareLogger):
             # last logged redo (Figure 11(c)).
             line.set_state(word_index, LogState.ULOG)
             line.word_dirty_flags[word_index] = mask_delta if self.use_dirty_flags else 0xFF
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self._emit:
+                self._emit(
                     "word-state",
                     "word-state",
                     now_ns,
@@ -180,8 +180,8 @@ class MorLogLogger(HardwareLogger):
         line.set_state(word_index, LogState.DIRTY)
         line.word_dirty_flags[word_index] = mask_delta
         self._tx_lines.setdefault((tx.tid, tx.txid), set()).add(line.base_addr)
-        if self.tracer is not None:
-            self.tracer.emit(
+        if self._emit:
+            self._emit(
                 "log-create",
                 "log",
                 now_ns,
@@ -190,7 +190,7 @@ class MorLogLogger(HardwareLogger):
                 addr=addr,
                 entry="undo-redo",
             )
-            self.tracer.emit(
+            self._emit(
                 "word-state",
                 "word-state",
                 now_ns,
@@ -222,8 +222,8 @@ class MorLogLogger(HardwareLogger):
         if line.state(index) is LogState.DIRTY:
             line.set_state(index, LogState.URLOG)
             line.word_dirty_flags[index] = 0
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self._emit:
+                self._emit(
                     "word-state",
                     "word-state",
                     now_ns,
@@ -234,13 +234,13 @@ class MorLogLogger(HardwareLogger):
                 )
 
     def _emit_redo(self, tid: int, txid: int, addr: int, value: int, mask: int, now_ns: float) -> float:
-        if self.crash_plan is not None:
+        if self._crash_point:
             # A ULOG word's in-line redo data leave the L1 and become a
             # log entry here — the boundary the delay-persistence ulog
             # accounting depends on.
-            self.crash_plan.fire("redo-drain", txid=txid, addr=addr)
-        if self.tracer is not None:
-            self.tracer.emit(
+            self._crash_point("redo-drain", txid=txid, addr=addr)
+        if self._emit:
+            self._emit(
                 "log-create",
                 "log",
                 now_ns,
@@ -308,8 +308,8 @@ class MorLogLogger(HardwareLogger):
         pending = self.ur_buffer.pop_addr_range(line_addr, line_bytes)
         if pending:
             self.stats.add("wal_forced_flushes", len(pending))
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self._emit:
+                self._emit(
                     "wal-flush",
                     "log",
                     now_ns,
@@ -361,10 +361,10 @@ class MorLogLogger(HardwareLogger):
         """Persist buffered non-temporal redo entries before the commit
         record, so recovery never misses a committed NT store."""
         keys = self._nt_keys.get((tx.tid, tx.txid))
-        if keys and self.crash_plan is not None:
-            self.crash_plan.fire("nt-flush", txid=tx.txid)
-        if keys and self.tracer is not None:
-            self.tracer.emit(
+        if keys and self._crash_point:
+            self._crash_point("nt-flush", txid=tx.txid)
+        if keys and self._emit:
+            self._emit(
                 "nt-flush",
                 "log",
                 now_ns,

@@ -87,8 +87,8 @@ class PagingLogger(HardwareLogger):
             now_ns += result.schedule.stall_ns
         # The header validates the shadow, so it persists last: a crash
         # mid-copy leaves a dead slot and an untouched home page.
-        if self.crash_plan is not None:
-            self.crash_plan.fire(
+        if self._crash_point:
+            self._crash_point(
                 "page-table-write", txid=tx.txid, addr=self.pagetable.slot_addr(slot)
             )
         now_ns = self.pagetable.persist_header(
@@ -99,8 +99,8 @@ class PagingLogger(HardwareLogger):
         self.stats.add(
             "shadow_lines_written", self._page_bytes // line_bytes
         )
-        if self.tracer is not None:
-            self.tracer.emit(
+        if self._emit:
+            self._emit(
                 "word-state", "word-state", now_ns,
                 core=tx.tid, txid=tx.txid, addr=page_base,
                 **{"from": "CLEAN", "to": "SHADOWED"},
@@ -127,16 +127,16 @@ class PagingLogger(HardwareLogger):
         for base in sorted(self._tx_lines.pop((tx.tid, tx.txid), ())):
             if self.hierarchy is None:
                 break
-            if self.crash_plan is not None:
-                self.crash_plan.fire("forced-writeback", txid=tx.txid, addr=base)
+            if self._crash_point:
+                self._crash_point("forced-writeback", txid=tx.txid, addr=base)
             done = self.hierarchy.write_back_line(base, now_ns)
             last_accept = max(last_accept, done)
             self.stats.add("forced_data_write_backs")
         # The commit record is the atomic mapping flip: before it, the
         # shadows are authoritative (recovery restores them); after it,
         # the home pages are.
-        if self.crash_plan is not None:
-            self.crash_plan.fire("page-flip", txid=tx.txid)
+        if self._crash_point:
+            self._crash_point("page-flip", txid=tx.txid)
         record = CommitRecord(
             tid=tx.tid, txid=tx.txid, timestamp=self.next_commit_timestamp()
         )
@@ -168,8 +168,8 @@ class PagingLogger(HardwareLogger):
         ]
         target = min(open_slots) if open_slots else self.pagetable.alloc
         if target > self.pagetable.watermark:
-            if self.crash_plan is not None:
-                self.crash_plan.fire(
+            if self._crash_point:
+                self._crash_point(
                     "page-table-write", addr=self.pagetable.control_addr
                 )
             now_ns = self.pagetable.persist_watermark(target, now_ns)

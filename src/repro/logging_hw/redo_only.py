@@ -85,10 +85,10 @@ class RedoOnlyLogger(HardwareLogger):
             words = self.stage.pop(base, None)
             if words is None:
                 continue
-            if self.crash_plan is not None:
+            if self._crash_point:
                 # The staged line is about to reach NVMM; its transactions
                 # have all committed, so redo data must already be durable.
-                self.crash_plan.fire("stage-release", addr=base)
+                self._crash_point("stage-release", addr=base)
             result = self.controller.nvm.write_data_line(base, words, now_ns)
             now_ns += result.schedule.stall_ns
             self.stats.add("stage_releases")
@@ -116,8 +116,8 @@ class RedoOnlyLogger(HardwareLogger):
             redo=new_word,
             dirty_mask=mask,
         )
-        if self.tracer is not None:
-            self.tracer.emit(
+        if self._emit:
+            self._emit(
                 "log-create",
                 "log",
                 now_ns,

@@ -75,13 +75,10 @@ class LogRegion:
         self.head_seq = 0              # sequence number of the head entry
         self.live: Deque[LiveEntry] = deque()
         self._used_slots = 0
-        # Optional debug tap: called with each record as it is appended
-        # (used by the WAL-ordering checker).
-        self.append_observer: Optional[Callable] = None
-        # Fault-injection plan (installed by System.install_crash_plan).
-        self.crash_plan = None
-        # Trace bus (installed by System.install_tracer); observation only.
-        self.tracer = None
+        bus = controller.bus
+        self._log_append = bus.topic("log-append")
+        self._crash_point = bus.topic("crash-point")
+        self._emit = bus.topic("trace-event")
         self._persist_control(0.0)
 
     # ------------------------------------------------------------------
@@ -136,8 +133,8 @@ class LogRegion:
             self.tail = CONTROL_SLOTS
             self.parity ^= 1
             self.stats.add("wraps")
-            if self.tracer is not None:
-                self.tracer.emit("log-wrap", "log", now_ns)
+            if self._emit:
+                self._emit("log-wrap", "log", now_ns)
 
         if entry_type in (EntryType.UNDO_REDO, EntryType.UNDO) and undo is None:
             undo = LogDataWord(record.undo)
@@ -163,10 +160,10 @@ class LogRegion:
         )
         self._used_slots += n_slots
         self.stats.add("entries_appended")
-        if self.append_observer is not None:
-            self.append_observer(record)
-        if self.tracer is not None:
-            self.tracer.emit(
+        if self._log_append:
+            self._log_append(record)
+        if self._emit:
+            self._emit(
                 "log-append",
                 "log",
                 now_ns,
@@ -205,15 +202,15 @@ class LogRegion:
                 self.head_seq = self.seq
                 self.head_parity = self.parity
         if freed:
-            if self.crash_plan is not None:
+            if self._crash_point:
                 # A crash here leaves the old durable head with entries
                 # already freed in the volatile index — recovery must
                 # tolerate re-scanning (and re-applying) the stale prefix.
-                self.crash_plan.fire("log-truncate", head=self.head)
+                self._crash_point("log-truncate", head=self.head)
             self._persist_control(now_ns)
             self.stats.add("entries_truncated", freed)
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self._emit:
+                self._emit(
                     "log-truncate", "log", now_ns, freed=freed, head=self.head
                 )
         return freed

@@ -76,8 +76,8 @@ class UndoOnlyLogger(HardwareLogger):
             redo=0,
             dirty_mask=mask,
         )
-        if self.tracer is not None:
-            self.tracer.emit(
+        if self._emit:
+            self._emit(
                 "log-create",
                 "log",
                 now_ns,
@@ -100,11 +100,11 @@ class UndoOnlyLogger(HardwareLogger):
         for base in sorted(self._tx_lines.pop((tx.tid, tx.txid), ())):
             if self.hierarchy is None:
                 break
-            if self.crash_plan is not None:
+            if self._crash_point:
                 # Crashing between the forced per-line write-backs leaves a
                 # partially in-place transaction that only the undo data
                 # can roll back — the ordering this design must get right.
-                self.crash_plan.fire("forced-writeback", txid=tx.txid, addr=base)
+                self._crash_point("forced-writeback", txid=tx.txid, addr=base)
             done = self.hierarchy.write_back_line(base, now_ns)
             last_accept = max(last_accept, done)
             self.stats.add("forced_data_write_backs")
@@ -134,8 +134,8 @@ class UndoOnlyLogger(HardwareLogger):
         pending = self.buffer.pop_addr_range(line_addr, self.config.caches.line_bytes)
         if pending:
             self.stats.add("wal_forced_flushes", len(pending))
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self._emit:
+                self._emit(
                     "wal-flush",
                     "log",
                     now_ns,

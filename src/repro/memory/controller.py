@@ -12,21 +12,29 @@ from repro.common.config import SystemConfig
 from repro.common.stats import StatGroup
 from repro.memory.dram import Dram
 from repro.nvm.module import LogDataWord, NvmModule, WriteKind, WriteResult
+from repro.trace.bus import EventBus
 
 
 class MemoryController:
     """Address routing plus the ADR persistence boundary."""
 
-    def __init__(self, config: SystemConfig, stats: Optional[StatGroup] = None) -> None:
+    def __init__(
+        self,
+        config: SystemConfig,
+        stats: Optional[StatGroup] = None,
+        bus: Optional[EventBus] = None,
+    ) -> None:
         self.stats = stats if stats is not None else StatGroup("memory_controller")
         self.config = config
+        self.bus = bus if bus is not None else EventBus()
         self.nvm = NvmModule(
-            config.nvm, config.encoding, self.stats, config.caches.line_bytes
+            config.nvm, config.encoding, self.stats, config.caches.line_bytes,
+            bus=self.bus,
         )
         self.dram = Dram(self.stats)
-        # Optional debug tap: called with (addr, words) before every
-        # in-place NVMM line write (used by the WAL-ordering checker).
-        self.data_write_observer = None
+        # Published with (addr, words) before every in-place NVMM line
+        # write (the WAL-ordering checker subscribes).
+        self._data_write = self.bus.topic("data-write")
         # Optional read hook: called with the address of every NVMM line
         # read; a non-None return value (a word list) services the read
         # instead of the array.  Redo-only logging stages in-flight lines
@@ -58,8 +66,8 @@ class MemoryController:
         time); DRAM writes complete at fixed latency.
         """
         if self.is_persistent(addr):
-            if self.data_write_observer is not None:
-                self.data_write_observer(addr, words)
+            if self._data_write:
+                self._data_write(addr, words)
             result = self.nvm.write_data_line(addr, words, now_ns)
             return result.schedule.accept_ns
         return self.dram.write_line(addr, words, now_ns)

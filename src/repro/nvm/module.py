@@ -28,6 +28,7 @@ from repro.encoding.memo import MemoConfig
 from repro.encoding.slde import LogWriteContext, SldeCodec
 from repro.nvm.array import NvmArray, WriteCost
 from repro.nvm.timing import BankTiming, WriteSchedule
+from repro.trace.bus import EventBus
 
 
 class WriteKind(enum.Enum):
@@ -69,8 +70,15 @@ class NvmModule:
         encoding_config: EncodingConfig,
         stats: Optional[StatGroup] = None,
         line_bytes: int = 64,
+        bus: Optional[EventBus] = None,
     ) -> None:
         self.stats = stats if stats is not None else StatGroup("nvm_module")
+        self.bus = bus if bus is not None else EventBus()
+        # "data-writeback" fires before any in-place line write programs
+        # cells, so crash schedules can cut power at every write-ahead
+        # boundary regardless of which layer issued the write.
+        self._crash_point = self.bus.topic("crash-point")
+        self._emit = self.bus.topic("trace-event")
         self.array = NvmArray(nvm_config, self.stats)
         self.timing = BankTiming(nvm_config, self.stats, line_bytes)
         self._nvm_config = nvm_config
@@ -91,23 +99,10 @@ class NvmModule:
         # disabled in secure modes.
         self._secure = encoding_config.secure_mode
         self._line_epoch: dict = {}
-        # Fault-injection plan (installed by System.install_crash_plan):
-        # fires "data-writeback" before any in-place line write programs
-        # cells, so crash schedules can cut power at every write-ahead
-        # boundary regardless of which layer issued the write.
-        self.crash_plan = None
-        # Trace bus (installed via set_tracer); observation only.
-        self.tracer = None
         # Simulated timestamp of the in-flight log write, so the SLDE
         # decision hook (which fires mid-encode, with no clock in scope)
         # can stamp its events.
         self._trace_now = 0.0
-
-    def set_tracer(self, bus) -> None:
-        """Attach a trace bus; also taps the SLDE size comparator."""
-        self.tracer = bus
-        if isinstance(self.log_codec, SldeCodec):
-            self.log_codec.decision_hook = self._emit_slde_decision
 
     def memo_stats(self) -> dict:
         """Codec-memo counters for both codecs, canonically ordered.
@@ -126,13 +121,13 @@ class NvmModule:
     def _emit_slde_decision(
         self, word, chosen, chosen_bits, rejected, rejected_bits, silent
     ) -> None:
-        if self.tracer is None:
+        if not self._emit:
             return
         args = {"chosen": chosen, "chosen_bits": chosen_bits, "silent": silent}
         if rejected is not None:
             args["rejected"] = rejected
             args["rejected_bits"] = rejected_bits
-        self.tracer.emit("slde-decision", "codec", self._trace_now, **args)
+        self._emit("slde-decision", "codec", self._trace_now, **args)
 
     @staticmethod
     def _cipher(addr: int, value: int, epoch: int = 0) -> int:
@@ -167,8 +162,8 @@ class NvmModule:
             self.stats.add("%s_writes" % kind.value)
             self.stats.add("%s_bits" % kind.value, cost.bits_written)
             self.stats.add("%s_energy_pj" % kind.value, cost.energy_pj)
-        if self.tracer is not None:
-            self.tracer.emit(
+        if self._emit:
+            self._emit(
                 "nvm-write",
                 "nvm",
                 now_ns,
@@ -188,8 +183,8 @@ class NvmModule:
         """Write one in-place 64-byte cache line."""
         if len(words) != WORDS_PER_LINE:
             raise ValueError("a data line write carries exactly 8 words")
-        if self.crash_plan is not None:
-            self.crash_plan.fire("data-writeback", addr=addr)
+        if self._crash_point:
+            self._crash_point("data-writeback", addr=addr)
         epoch = 0
         if self._secure == "full":
             # Naive encryption: the whole line re-encrypts with a new
@@ -301,8 +296,12 @@ class NvmModule:
         kind: WriteKind = WriteKind.LOG,
     ) -> WriteResult:
         """Write one log entry (or commit record) to the log region."""
-        if self.tracer is not None:
+        if self._emit:
             self._trace_now = now_ns
+            if isinstance(self.log_codec, SldeCodec):
+                # Tap the size comparator on the first traced log write,
+                # so an untraced run never pays the hook call.
+                self.log_codec.decision_hook = self._emit_slde_decision
         encoded, logicals = self.encode_log_words(meta_words, undo, redo)
         return self._write_words(addr, encoded, logicals, now_ns, kind)
 

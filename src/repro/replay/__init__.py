@@ -7,9 +7,9 @@ that split explicit:
 
 - :mod:`repro.replay.container` — the versioned columnar trace format
   (numpy columns, canonical SHA-256 digest for cache keying);
-- :mod:`repro.replay.recorder` — :class:`TraceRecorder` taps on the
-  :class:`~repro.core.system.System` plus :func:`record_trace`, which
-  runs one cell with recording on;
+- :mod:`repro.replay.recorder` — :class:`TraceRecorder`, a subscriber
+  on the :class:`~repro.core.system.System`'s event bus, plus
+  :func:`record_trace`, which runs one cell with recording on;
 - :mod:`repro.replay.replayer` — :func:`replay_trace`, which re-drives a
   machine from a trace, mirroring ``System.run`` bit for bit;
 - :mod:`repro.replay.prewarm` — the vectorized encoding fast path: batch

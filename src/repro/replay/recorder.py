@@ -1,20 +1,20 @@
 """Recording a workload's store stream into a :class:`StoreTrace`.
 
-A :class:`TraceRecorder` hangs off ``system.recorder`` and observes a
-normal timed run from two vantage points:
+A :class:`TraceRecorder` subscribes to a system's event bus and
+observes a normal timed run from two vantage points:
 
-- the :class:`~repro.core.transaction.TxContext` op hooks capture the
+- the :class:`~repro.core.transaction.TxContext` op topics capture the
   *program* — the exact sequence of loads, stores, non-temporal stores
-  and compute delays each transaction body issued — plus the setup-phase
-  stores that build the pre-run memory image;
-- the :class:`~repro.core.system.System` taps capture the *dispatch
+  and compute delays each transaction body issued — and the
+  ``setup-store`` topic the stores that build the pre-run memory image;
+- the :class:`~repro.core.system.System` topics capture the *dispatch
   order* (which core ran each transaction, preserving the recording
   run's interleaving) and the old/new word of every persistent
   transactional store (the raw material for the vectorized encoding
   fast path).
 
-Recording does not perturb the run: the hooks only append to Python
-lists, and the recorded run's RunResult is bit-identical to an
+Recording does not perturb the run: the subscribers only append to
+Python lists, and the recorded run's RunResult is bit-identical to an
 unrecorded one (pinned in ``tests/test_replay_differential.py``).
 """
 
@@ -49,7 +49,19 @@ class TraceRecorder:
         self.pair_old = []
         self.pair_new = []
 
-    # -- System taps ----------------------------------------------------
+    def subscriptions(self):
+        """``{topic: subscriber}`` for :meth:`EventBus.subscribe_all`."""
+        return {
+            "setup-store": self.on_setup_store,
+            "tx-dispatch": self.on_tx_dispatch,
+            "tx-store": self.on_tx_store,
+            "op-load": self.on_load,
+            "op-store": self.on_store,
+            "op-store-nt": self.on_store_nt,
+            "op-compute": self.on_compute,
+        }
+
+    # -- System topics --------------------------------------------------
 
     def on_setup_store(self, addr: int, value: int) -> None:
         self.setup_addr.append(addr)
@@ -59,11 +71,11 @@ class TraceRecorder:
         self.tx_start.append(len(self.op_kind))
         self.tx_core.append(core)
 
-    def on_tx_store(self, addr: int, old: int, new: int) -> None:
+    def on_tx_store(self, tid: int, txid: int, addr: int, old: int, new: int) -> None:
         self.pair_old.append(old)
         self.pair_new.append(new)
 
-    # -- TxContext op taps ----------------------------------------------
+    # -- TxContext op topics --------------------------------------------
 
     def on_load(self, addr: int) -> None:
         self.op_kind.append(OP_LOAD)
@@ -120,35 +132,21 @@ def record_trace(
 ):
     """Run one grid cell with recording on; returns (trace, result, system).
 
-    Mirrors :func:`repro.experiments.runner.run_design_system` exactly —
-    same config/params/scale resolution, same run loop — so the recorded
+    Builds the cell through :func:`repro.experiments.runner.build_cell`,
+    like ``run_design_system``, and runs the same loop, so the recorded
     run's RunResult is the one the direct path would have produced.
     """
-    from repro.experiments.runner import (
-        ExperimentScale,
-        MACRO_NAMES,
-        default_config,
-        resolve_params,
+    from repro.experiments.runner import build_cell
+    from repro.workloads.base import DatasetSize
+
+    system, workload, n_transactions, n_threads = build_cell(
+        design, workload_name,
+        dataset if dataset is not None else DatasetSize.SMALL,
+        scale, config, params, n_threads, n_transactions,
     )
-    from repro.core.designs import make_system
-    from repro.workloads.base import DatasetSize, make_workload
-
-    dataset = dataset if dataset is not None else DatasetSize.SMALL
-    scale = scale or ExperimentScale()
-    config = config if config is not None else default_config()
-    params = resolve_params(params, dataset)
-    macro = workload_name in MACRO_NAMES
-    system = make_system(design, config)
-    workload = make_workload(workload_name, params)
-    n_transactions = n_transactions or scale.transactions(macro, dataset)
-    n_threads = n_threads or scale.threads(macro)
-
     recorder = TraceRecorder()
-    system.recorder = recorder
-    try:
+    with system.bus.subscribed(recorder.subscriptions()):
         result = system.run(workload, n_transactions, n_threads)
-    finally:
-        system.recorder = None
     meta = {
         "design": design,
         "n_threads": n_threads,

@@ -41,10 +41,10 @@ def apply_trace_setup(system, trace: StoreTrace) -> None:
     data movement: the persistent/volatile split is one vectorized
     boundary compare (``is_persistent`` is ``addr >= nvmm_base``) and the
     NVMM side goes through :meth:`NvmArray.bulk_write_logical` instead of
-    per-word ``setup_store`` calls.  With a recorder attached (recording
-    a replay) the tap-firing scalar path is kept.
+    per-word ``setup_store`` calls.  With a ``setup-store`` subscriber
+    (a recorder recording a replay) the publishing scalar path is kept.
     """
-    if system.recorder is not None or np is None:
+    if system.bus.topic("setup-store") or np is None:
         store = system.setup_store
         for addr, value in zip(trace.setup_addr.tolist(), trace.setup_val.tolist()):
             store(addr, value)

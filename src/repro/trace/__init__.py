@@ -1,9 +1,11 @@
 """``repro.trace`` — structured event tracing, timelines and profiling.
 
-The observability layer of the simulator (ISSUE 3):
+The observability layer of the simulator:
 
-- :class:`TraceConfig` / :class:`TraceBus` — the opt-in, bounded,
-  zero-cost-when-disabled event bus components publish to;
+- :class:`EventBus` — each System's publish/subscribe seam, with the
+  fixed topic set every simulator tap subscribes to;
+- :class:`TraceConfig` / :class:`TraceBus` — the opt-in, bounded ring
+  of typed events, a subscriber on the ``trace-event`` topic;
 - :mod:`repro.trace.events` — the typed event taxonomy and its schema;
 - :mod:`repro.trace.timeline` — per-transaction timeline assembly;
 - :mod:`repro.trace.export` — Chrome ``trace_event`` JSON export
@@ -19,7 +21,7 @@ Enable tracing by passing a config to the factory::
     events = list(system.tracer.events)
 """
 
-from repro.trace.bus import TraceBus, TraceConfig
+from repro.trace.bus import EventBus, TraceBus, TraceConfig
 from repro.trace.events import (
     CATEGORIES,
     EVENT_SCHEMA,
@@ -42,6 +44,7 @@ from repro.trace.timeline import TxTimeline, assemble_timelines, timeline_summar
 __all__ = [
     "CATEGORIES",
     "EVENT_SCHEMA",
+    "EventBus",
     "SCHEMA_VERSION",
     "PhaseProfiler",
     "ProfileReport",

@@ -7,13 +7,15 @@ with *canonical key order*, so snapshots diff cleanly across runs and
 can be hashed, cached, or asserted on by the benchmark harness.
 """
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.common.stats import Histogram
-from repro.core.system import RunResult
 from repro.trace.bus import TraceBus
 from repro.trace.events import SCHEMA_VERSION
 from repro.trace.timeline import assemble_timelines, timeline_summary
+
+if TYPE_CHECKING:  # the simulator imports this package; avoid the cycle
+    from repro.core.system import RunResult
 
 #: Power-of-two microsecond buckets for transaction durations.  The
 #: first bucket holds every duration under one microsecond (the floor
@@ -47,7 +49,7 @@ def duration_histogram(durations_ns: List[float]) -> Histogram:
 
 
 def metrics_snapshot(
-    result: RunResult,
+    result: "RunResult",
     bus: Optional[TraceBus] = None,
     design: str = "",
     workload: str = "",

@@ -22,8 +22,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.report import format_table
-
 PHASES = ("logging", "encoding", "nvm", "cache", "workload")
 
 
@@ -58,6 +56,8 @@ class ProfileReport:
         return dict(sorted(out.items()))
 
     def format(self, title: str = "profile") -> str:
+        from repro.analysis.report import format_table
+
         wall = self.wall_seconds or 1.0
         rows: List[List[Any]] = []
         for phase, stat in sorted(
@@ -182,28 +182,17 @@ def profile_design(
     Builds a fresh system (the shims do not survive ``reset_machine``,
     so the profiled run must be the machine's first).
     """
-    from repro.core.designs import make_system
-    from repro.experiments.runner import (
-        ExperimentScale,
-        MACRO_NAMES,
-        default_config,
-        resolve_params,
-    )
-    from repro.workloads.base import DatasetSize, make_workload
+    from repro.experiments.runner import build_cell
+    from repro.workloads.base import DatasetSize
 
-    dataset = dataset or DatasetSize.SMALL
-    scale = ExperimentScale()
-    macro = workload_name in MACRO_NAMES
-    system = make_system(design, config if config is not None else default_config())
-    workload = make_workload(workload_name, resolve_params(params, dataset))
+    system, workload, n_transactions, n_threads = build_cell(
+        design, workload_name, dataset or DatasetSize.SMALL, None, config,
+        params, n_threads, n_transactions,
+    )
     profiler = PhaseProfiler().install(system)
     try:
         with profiler:
-            result = system.run(
-                workload,
-                n_transactions or scale.transactions(macro, dataset),
-                n_threads or scale.threads(macro),
-            )
+            result = system.run(workload, n_transactions, n_threads)
     finally:
         profiler.uninstall()
     return result, profiler.report()

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.designs import make_system
-from repro.core.system import CrashInjected, System
+from repro.core.system import CrashInjected, System, at_tx_crash_points
 from repro.traffic.arrivals import ARRIVAL_PROCESSES, make_arrivals
 from repro.traffic.tenancy import TenantTable
 from repro.workloads.base import WorkloadParams
@@ -247,11 +247,14 @@ def run_traffic_system(
     def crash_now() -> None:
         raise CrashInjected("traffic crash under load")
 
+    power_cut = at_tx_crash_points(crash_now)
+    armed = False
     try:
         for index, arrival_ns in enumerate(arrivals):
             if (crash_at_arrival is not None and index >= crash_at_arrival
-                    and system.crash_hook is None):
-                system.crash_hook = crash_now
+                    and not armed):
+                system.bus.subscribe("crash-point", power_cut)
+                armed = True
             tenant = tenants.draw(draw_rng)
             core = tenants.home_core[tenant]
             component = tenants.component[tenant]
@@ -281,6 +284,8 @@ def run_traffic_system(
                 execute(core, *queue.popleft())
     except CrashInjected:
         crashed = True
+    if armed:
+        system.bus.unsubscribe("crash-point", power_cut)
 
     admitted = traffic.arrivals - dropped
     makespan = max(system.core_time_ns[: traffic.n_threads]) if completed else 0.0

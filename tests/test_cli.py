@@ -18,6 +18,19 @@ def test_run_command(capsys):
     assert "throughput" in out
 
 
+@pytest.mark.parametrize("command", ["run", "trace", "profile"])
+def test_single_cell_commands_accept_mix(command, tmp_path, capsys):
+    counts = ["--transactions", "5", "--threads", "1"]
+    if command == "run":
+        argv = ["run", "--workload", "mix"] + counts
+    else:
+        argv = [command, "morlog-dp", "mix"] + counts
+        if command == "trace":
+            argv += ["--out", str(tmp_path / "trace.json")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
 def test_overhead_command(capsys):
     assert main(["overhead"]) == 0
     out = capsys.readouterr().out

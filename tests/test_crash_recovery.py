@@ -22,7 +22,7 @@ import random
 import pytest
 
 from repro.core.designs import DESIGN_NAMES, make_system
-from repro.core.system import CrashInjected
+from repro.core.system import CrashInjected, at_tx_crash_points
 from repro.workloads.base import WorkloadParams, make_workload
 from tests.conftest import tiny_config
 
@@ -53,7 +53,7 @@ def run_until_crash(design, workload_name, seed, crash_at, n_threads=2, max_tx=1
     system.reset_measurement()
 
     tap = WriteSetTap()
-    system.trace = tap
+    system.bus.subscribe("tx-store", tap.on_tx_store)
     counter = [0]
 
     def hook():
@@ -61,7 +61,7 @@ def run_until_crash(design, workload_name, seed, crash_at, n_threads=2, max_tx=1
         if counter[0] >= crash_at:
             raise CrashInjected()
 
-    system.crash_hook = hook
+    system.bus.subscribe("crash-point", at_tx_crash_points(hook))
     committed = []
     try:
         done = 0
@@ -200,7 +200,7 @@ def test_crash_consistency_under_log_pressure(design):
     workload.setup(system, 2)
     system.reset_measurement()
     tap = WriteSetTap()
-    system.trace = tap
+    system.bus.subscribe("tx-store", tap.on_tx_store)
     counter = [0]
 
     def hook():
@@ -208,7 +208,7 @@ def test_crash_consistency_under_log_pressure(design):
         if counter[0] >= 2500:
             raise CrashInjected()
 
-    system.crash_hook = hook
+    system.bus.subscribe("crash-point", at_tx_crash_points(hook))
     committed = []
     try:
         while len(committed) < 400:

@@ -4,7 +4,7 @@ non-temporal stores."""
 import pytest
 
 from repro.core.designs import make_system
-from repro.core.system import CrashInjected
+from repro.core.system import CrashInjected, at_tx_crash_points
 from repro.logging_hw.region import LogRegionSet
 from repro.workloads.base import WorkloadParams, make_workload
 from tests.conftest import make_tiny_system, tiny_config
@@ -51,7 +51,7 @@ class TestDistributedLogs:
         workload.setup(system, 4)
         system.reset_measurement()
         tap = WriteSetTap()
-        system.trace = tap
+        system.bus.subscribe("tx-store", tap.on_tx_store)
         counter = [0]
 
         def hook():
@@ -59,7 +59,7 @@ class TestDistributedLogs:
             if counter[0] >= 300:
                 raise CrashInjected()
 
-        system.crash_hook = hook
+        system.bus.subscribe("crash-point", at_tx_crash_points(hook))
         committed = []
         try:
             while True:

@@ -180,19 +180,15 @@ def test_forced_writeback_point_fires_on_undo_only():
 
 
 def _manual_tx(system, plan, body):
-    """Run one transaction on core 0 with ``plan`` installed."""
+    """Run one transaction on core 0 with ``plan`` subscribed."""
     tracker = WriteSetTracker()
     system.reset_measurement()
-    system.trace = tracker
-    system.install_crash_plan(plan)
-    try:
+    subscriptions = {"tx-store": tracker.on_tx_store, "crash-point": plan.fire}
+    with system.bus.subscribed(subscriptions):
         tx = system.begin_tx(0)
         body(system.contexts[0])
         system.end_tx(0)
         tracker.on_commit(tx.txid)
-    finally:
-        system.install_crash_plan(None)
-        system.trace = None
     return tracker
 
 

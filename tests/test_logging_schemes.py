@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.designs import ABLATION_DESIGN_NAMES, make_system
-from repro.core.system import CrashInjected
+from repro.core.system import CrashInjected, at_tx_crash_points
 from repro.workloads.base import WorkloadParams, make_workload
 from tests.conftest import tiny_config
 
@@ -132,7 +132,7 @@ def test_crash_consistency_matrix(design):
     workload.setup(system, 2)
     system.reset_measurement()
     tap = WriteSetTap()
-    system.trace = tap
+    system.bus.subscribe("tx-store", tap.on_tx_store)
     counter = [0]
 
     def hook():
@@ -140,7 +140,7 @@ def test_crash_consistency_matrix(design):
         if counter[0] >= 250:
             raise CrashInjected()
 
-    system.crash_hook = hook
+    system.bus.subscribe("crash-point", at_tx_crash_points(hook))
     committed = []
     try:
         while True:

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.core.designs import make_system
-from repro.core.system import CrashInjected
+from repro.core.system import CrashInjected, at_tx_crash_points
 from repro.faultinject.sweep import (
     SweepOptions,
     run_sweep,
@@ -154,14 +154,14 @@ def run_crashing(system, schedule, crash_at):
         if counter[0] >= crash_at:
             raise CrashInjected()
 
-    system.crash_hook = hook
+    power_cut = system.bus.subscribe("crash-point", at_tx_crash_points(hook))
     try:
         for core, body in schedule:
             system.run_transaction(core, body)
     except CrashInjected:
         pass
     finally:
-        system.crash_hook = None
+        system.bus.unsubscribe("crash-point", power_cut)
 
 
 class TestCrashRecoveryEquality:

@@ -115,3 +115,34 @@ class TestRunDesignPlumbing:
     def test_default_params_reasonable(self):
         assert DEFAULT_PARAMS.initial_items > 0
         assert DEFAULT_PARAMS.key_space > DEFAULT_PARAMS.initial_items
+
+
+class TestExplicitZeroCounts:
+    """An explicit zero count raises at every single-cell entry point
+    instead of silently running the scale's default count."""
+
+    @staticmethod
+    def _assert_zero_rejected(entry):
+        with pytest.raises(ValueError, match="n_transactions"):
+            entry(n_transactions=0, n_threads=1)
+        with pytest.raises(ValueError, match="n_threads"):
+            entry(n_transactions=1, n_threads=0)
+
+    def test_run_design(self):
+        self._assert_zero_rejected(
+            lambda **counts: run_design("MorLog-DP", "hash", **counts)
+        )
+
+    def test_profile_design(self):
+        from repro.trace import profile_design
+
+        self._assert_zero_rejected(
+            lambda **counts: profile_design("MorLog-DP", "hash", **counts)
+        )
+
+    def test_record_trace(self):
+        from repro.replay import record_trace
+
+        self._assert_zero_rejected(
+            lambda **counts: record_trace("MorLog-DP", "hash", **counts)
+        )

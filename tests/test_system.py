@@ -5,6 +5,7 @@ import pytest
 from repro.common.config import LoggingConfig, SystemConfig
 from repro.common.errors import ConfigError
 from repro.core.designs import DESIGN_NAMES, make_system
+from repro.core.system import at_tx_crash_points
 from repro.logging_hw.fwb import FwbLogger
 from repro.logging_hw.morlog import MorLogLogger
 from repro.workloads.base import WorkloadParams, make_workload
@@ -178,12 +179,14 @@ class TestSystemBasics:
         system = make_tiny_system()
         sentinel = object()
         hook_calls = []
-        system.trace = sentinel
-        system.crash_hook = lambda: hook_calls.append(1)
+        system.bus.subscribe("tx-store", sentinel)
+        system.bus.subscribe(
+            "crash-point", at_tx_crash_points(lambda: hook_calls.append(1))
+        )
         system._ran = True
         system.reset_machine()
-        assert system.trace is sentinel
-        assert system.crash_hook is not None
+        assert system.bus.topic("tx-store") == [sentinel]
+        assert system.bus.topic("crash-point")
         assert system.stats.get("stores") == 0
 
 

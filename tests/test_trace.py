@@ -53,7 +53,7 @@ class TestBus:
     def test_untraced_system_has_no_tracer(self):
         system = make_system("MorLog-SLDE", tiny_config())
         assert system.tracer is None
-        assert system.logger.tracer is None
+        assert not system.logger.controller.bus.topic("trace-event")
 
     def test_emit_appends_events_in_order(self):
         bus = TraceBus()
@@ -238,7 +238,7 @@ class TestSldeDecisionTruth:
 
         module = NvmModule(NVMConfig(), EncodingConfig(), StatGroup("t"))
         bus = TraceBus(TraceConfig(enabled=True))
-        module.set_tracer(bus)
+        module.bus.subscribe("trace-event", bus.emit)
         # Both words are FPC-incompressible and differ in one byte, so
         # both sides prefer DLDC and the conflict path must demote one.
         undo, redo = 0x0123_4567_89AB_CDEF, 0x0123_4567_89AB_CDEE
@@ -299,8 +299,8 @@ class TestSystemIntegration:
         bus = system.tracer
         system.reset_machine()
         assert system.tracer is bus
-        assert system.logger.tracer is bus
-        assert system.controller.nvm.tracer is bus
+        assert system.logger.controller.bus is system.bus
+        assert system.controller.nvm.bus.topic("trace-event") == [bus.emit]
 
     def test_recovery_emits_recovery_event(self):
         system, _result = run_traced(n_tx=10)

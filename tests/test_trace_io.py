@@ -74,7 +74,7 @@ class TestRecordReplay:
             def on_tx_store(self, tid, txid, addr, old, new):
                 captured.append((addr, new))
 
-        system2.trace = Tap()
+        system2.bus.subscribe("tx-store", Tap().on_tx_store)
         system2.run(replay, replay.total_transactions(), n_threads=1)
         original = [(op.addr, op.value) for op in ops if op.op == "store"]
         assert captured == original

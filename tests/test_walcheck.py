@@ -10,6 +10,7 @@ import pytest
 from repro.analysis.walcheck import WalChecker, attach_wal_checker
 from repro.core.designs import DESIGN_NAMES, make_system
 from repro.logging_hw.entries import CommitRecord, EntryType, LogEntry
+from repro.trace.bus import EventBus
 from repro.workloads.base import WorkloadParams, make_workload
 from tests.conftest import make_tiny_system, tiny_config
 
@@ -63,7 +64,7 @@ def test_checker_clears_on_commit():
     checker.assert_clean()
 
 
-def test_checker_forwards_to_composed_trace():
+def test_two_store_subscribers_both_see_every_store():
     class Sink:
         def __init__(self):
             self.calls = []
@@ -72,9 +73,15 @@ def test_checker_forwards_to_composed_trace():
             self.calls.append(args)
 
     sink = Sink()
-    checker = WalChecker(forward_to=sink)
-    checker.on_tx_store(0, 1, 0x100, 5, 9)
+    bus = EventBus()
+    checker = WalChecker()
+    bus.subscribe_all(checker.subscriptions())
+    bus.subscribe("tx-store", sink.on_tx_store)
+    bus.topic("tx-store")(0, 1, 0x100, 5, 9)
     assert sink.calls == [(0, 1, 0x100, 5, 9)]
+    # The checker saw the same store: it now guards the word.
+    bus.topic("data-write")(0x100 - 0x100 % 64, [9] + [0] * 7)
+    assert len(checker.violations) == 1
 
 
 def test_attach_to_distributed_logs():
