@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Capture a workload trace and reproduce the paper's motivation stats.
 
-Wraps a workload in the trace recorder, saves the trace to disk, reloads
-it, replays it under a trace tap, and prints the Figure 3 / Figure 5 /
-Table II statistics for that exact store stream — the PIN-style workflow
-of the paper's sections II-B and II-C.
+Records a workload's store stream, saves the trace container to disk,
+reloads it, replays it with a store collector subscribed, and prints the
+Figure 3 / Figure 5 / Table II statistics for that exact store stream —
+the PIN-style workflow of the paper's sections II-B and II-C.
 
 Run with:  python examples/trace_analysis.py [workload]
 """
@@ -15,15 +15,9 @@ import tempfile
 
 from repro.analysis.report import format_table
 from repro.analysis.trace import TraceCollector
-from repro.analysis.trace_io import (
-    RecordingWorkload,
-    TraceWorkload,
-    load_trace,
-    save_trace,
-)
 from repro.core import make_system
 from repro.experiments.runner import default_config
-from repro.workloads import make_workload
+from repro.replay import load_trace, record_trace, replay_trace, save_trace
 from repro.workloads.base import WorkloadParams
 
 
@@ -32,20 +26,19 @@ def main() -> None:
     params = WorkloadParams(initial_items=256, key_space=512)
 
     # 1. Capture.
-    system = make_system("FWB-CRADE", default_config())
-    recorder = RecordingWorkload(make_workload(workload_name, params))
-    system.run(recorder, 150, n_threads=2)
-    path = os.path.join(tempfile.gettempdir(), "%s.trace.jsonl" % workload_name)
-    count = save_trace(path, recorder.ops)
-    print("captured %d ops from %s -> %s" % (count, workload_name, path))
+    trace, _result, _system = record_trace(
+        "FWB-CRADE", workload_name, config=default_config(), params=params,
+        n_transactions=150, n_threads=2,
+    )
+    path = os.path.join(tempfile.gettempdir(), "%s.mltr" % workload_name)
+    save_trace(path, trace)
+    print("captured %d ops from %s -> %s" % (trace.n_ops, workload_name, path))
 
     # 2. Reload and replay with the collector subscribed to every store.
-    ops = load_trace(path)
-    replay = TraceWorkload(ops)
     system = make_system("FWB-CRADE", default_config())
     collector = TraceCollector(track_patterns=True)
     system.bus.subscribe("tx-store", collector.on_tx_store)
-    system.run(replay, replay.total_transactions(), n_threads=2)
+    replay_trace(system, load_trace(path))
 
     # 3. The paper's motivation numbers for this stream.
     dist = collector.distance_distribution()

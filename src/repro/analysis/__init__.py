@@ -12,24 +12,12 @@ from repro.analysis.trace import (
     collect_stores,
     dldc_pattern_census,
 )
-from repro.analysis.trace_io import (
-    RecordingWorkload,
-    TraceOp,
-    TraceWorkload,
-    load_trace,
-    save_trace,
-)
 from repro.analysis.walcheck import WalChecker, attach_wal_checker
 from repro.analysis.overhead import morphable_logging_overhead, slde_overhead
 from repro.analysis.report import format_bars, format_table
 
 __all__ = [
     "TraceCollector",
-    "RecordingWorkload",
-    "TraceOp",
-    "TraceWorkload",
-    "load_trace",
-    "save_trace",
     "WalChecker",
     "attach_wal_checker",
     "collect_stores",

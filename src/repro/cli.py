@@ -58,13 +58,10 @@ def _resolve_trace_design(name: str) -> str:
     return full
 from repro.experiments import figures
 from repro.experiments.runner import ExperimentScale, default_config, run_design
-from repro.workloads.base import DatasetSize, MACRO_WORKLOADS, MICRO_WORKLOADS
+from repro.workloads.base import DatasetSize, MACRO_WORKLOADS, MICRO_WORKLOADS, WORKLOADS
 
-#: Workloads the single-cell commands (run, trace, profile) accept:
-#: micro + macro plus "mix", the default 70/20/10 traffic blend run
-#: closed-loop.  Grid and figure commands stay micro+macro so figure
-#: grids keep their shape.
-CELL_WORKLOADS = MICRO_WORKLOADS + MACRO_WORKLOADS + ("mix",)
+#: Every workload a command accepts: the ``make_workload`` registry.
+WORKLOAD_NAMES = sorted(WORKLOADS)
 
 FIGURES = {
     "fig3": lambda scale: figures.fig3_table(figures.fig3_write_distance(scale)),
@@ -115,11 +112,7 @@ def _parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one design on one workload")
     run_p.add_argument("--design", default="MorLog-SLDE", choices=ALL_DESIGNS)
-    run_p.add_argument(
-        "--workload",
-        default="echo",
-        choices=CELL_WORKLOADS,
-    )
+    run_p.add_argument("--workload", default="echo", choices=WORKLOAD_NAMES)
     run_p.add_argument("--transactions", type=int, default=200)
     run_p.add_argument("--threads", type=int, default=4)
     run_p.add_argument("--large", action="store_true", help="4 KB dataset items")
@@ -244,11 +237,7 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     cmp_p = sub.add_parser("compare", help="all designs on one workload")
-    cmp_p.add_argument(
-        "--workload",
-        default="echo",
-        choices=MICRO_WORKLOADS + MACRO_WORKLOADS,
-    )
+    cmp_p.add_argument("--workload", default="echo", choices=WORKLOAD_NAMES)
     cmp_p.add_argument("--transactions", type=int, default=200)
     cmp_p.add_argument("--threads", type=int, default=4)
 
@@ -264,11 +253,7 @@ def _parser() -> argparse.ArgumentParser:
         "record", help="record a workload's store stream into a trace"
     )
     rec_p.add_argument("out", help="output trace container (.mltr)")
-    rec_p.add_argument(
-        "--workload",
-        default="queue",
-        choices=MICRO_WORKLOADS + MACRO_WORKLOADS,
-    )
+    rec_p.add_argument("--workload", default="queue", choices=WORKLOAD_NAMES)
     rec_p.add_argument("--design", default="MorLog-SLDE", choices=ALL_DESIGNS)
     rec_p.add_argument("--transactions", type=int, default=100)
     rec_p.add_argument("--threads", type=int, default=2)
@@ -294,11 +279,7 @@ def _parser() -> argparse.ArgumentParser:
         help="design name, alias (morlog/undo-only/redo-only/fwb/morlog-dp)"
         " or 'all' for the four logging schemes",
     )
-    fs_p.add_argument(
-        "--workload",
-        default="hash",
-        choices=MICRO_WORKLOADS + MACRO_WORKLOADS,
-    )
+    fs_p.add_argument("--workload", default="hash", choices=WORKLOAD_NAMES)
     fs_p.add_argument("--transactions", type=int, default=10)
     fs_p.add_argument("--threads", type=int, default=2)
     fs_p.add_argument("--seed", type=int, default=7)
@@ -348,7 +329,7 @@ def _parser() -> argparse.ArgumentParser:
         help="design name or alias (undo-redo/morlog/morlog-dp/fwb/"
         "undo-only/redo-only)",
     )
-    tr_p.add_argument("workload", choices=CELL_WORKLOADS)
+    tr_p.add_argument("workload", choices=WORKLOAD_NAMES)
     tr_p.add_argument(
         "--out", default="trace.json",
         help="Chrome trace_event JSON output (load in Perfetto)",
@@ -370,7 +351,7 @@ def _parser() -> argparse.ArgumentParser:
         help="run one cell under the host-side phase profiler",
     )
     pr_p.add_argument("design", help="design name or alias")
-    pr_p.add_argument("workload", choices=CELL_WORKLOADS)
+    pr_p.add_argument("workload", choices=WORKLOAD_NAMES)
     pr_p.add_argument("--transactions", type=int, default=None)
     pr_p.add_argument("--threads", type=int, default=None)
     pr_p.add_argument("--large", action="store_true", help="4 KB dataset items")
@@ -465,11 +446,7 @@ def _parser() -> argparse.ArgumentParser:
         "record", help="run one cell and record its metrics as BenchRecords"
     )
     br_p.add_argument("--design", default="MorLog-SLDE", choices=ALL_DESIGNS)
-    br_p.add_argument(
-        "--workload",
-        default="echo",
-        choices=MICRO_WORKLOADS + MACRO_WORKLOADS,
-    )
+    br_p.add_argument("--workload", default="echo", choices=WORKLOAD_NAMES)
     br_p.add_argument("--transactions", type=int, default=200)
     br_p.add_argument("--threads", type=int, default=4)
     br_p.add_argument("--large", action="store_true", help="4 KB dataset items")
@@ -591,11 +568,10 @@ def _cmd_grid(args) -> int:
             workloads = [
                 w.strip() for w in args.workloads.split(",") if w.strip()
             ]
-        known = MICRO_WORKLOADS + MACRO_WORKLOADS
         for workload in workloads:
-            if workload not in known:
+            if workload not in WORKLOADS:
                 print("unknown workload %r (choose from %s)"
-                      % (workload, known))
+                      % (workload, WORKLOAD_NAMES))
                 return 2
         dataset = DatasetSize.LARGE if args.large else DatasetSize.SMALL
         specs = [

@@ -6,9 +6,10 @@ clocks — and executes workload transactions on it.
 
 Timing model (see DESIGN.md §3): each core owns a nanosecond clock that
 advances by cache latencies, logger stalls and memory queue stalls; the run
-loop always dispatches the next transaction on the core with the smallest
-clock, which interleaves threads at transaction granularity.  Throughput is
-transactions divided by the final maximum core time.
+loop asks the workload for each transaction's core, and every generated
+workload picks the core with the smallest clock, which interleaves threads
+at transaction granularity (a recorded trace replays its recorded cores).
+Throughput is transactions divided by the final maximum core time.
 """
 
 from dataclasses import dataclass
@@ -373,7 +374,7 @@ class System:
     def reset_machine(self) -> None:
         """Rebuild every substrate, as if the System were freshly built.
 
-        :meth:`run` cold-resets a reused machine through here so a second
+        :meth:`start` cold-resets a reused machine through here so a second
         run sees exactly what a fresh System would — cold caches, an
         empty log region, pristine NVM cells — instead of inheriting the
         previous run's residue.  Rebuilding via the constructor makes
@@ -388,11 +389,11 @@ class System:
     def reset_measurement(self) -> None:
         """Zero all counters, clocks and run-loop state.
 
-        Called after workload setup, and again at the top of every
-        :meth:`run` — a reused System must not inherit the previous run's
-        FWB schedule, truncation epochs, staged non-temporal stores or
-        transaction-table bookkeeping, or its second run diverges from a
-        fresh machine's (regression-tested in tests/test_system.py).
+        :meth:`start` calls this after workload setup — a reused System
+        must not inherit the previous run's FWB schedule, truncation
+        epochs, staged non-temporal stores or transaction-table
+        bookkeeping, or its second run diverges from a fresh machine's
+        (regression-tested in tests/test_system.py).
         """
         self.stats.reset()
         self.controller.nvm.timing.reset()
@@ -469,10 +470,15 @@ class System:
     # Run loop
     # ------------------------------------------------------------------
 
-    def run(self, workload, n_transactions: int, n_threads: Optional[int] = None) -> RunResult:
-        """Set up ``workload`` and execute ``n_transactions`` across threads."""
-        if n_threads is None:
-            n_threads = self.config.cores.n_cores
+    def start(self, workload, n_threads: int) -> None:
+        """Begin a run: set ``workload`` up on ``n_threads`` cores.
+
+        A reused machine is cold-reset first, so every run starts from
+        what a fresh System would hold.  Measurement is zeroed after the
+        untimed setup, and only the first ``n_threads`` core clocks
+        steer the force-write-back schedule.  Callers then dispatch
+        transactions and end with :meth:`finish`.
+        """
         if n_threads < 1:
             # 0 used to silently mean "all cores" via `n_threads or ...`,
             # turning a caller's arithmetic bug into an 8-thread run.
@@ -485,18 +491,17 @@ class System:
         workload.setup(self, n_threads)
         self.reset_measurement()
         self._active_threads = n_threads
-        dispatched = 0
-        while dispatched < n_transactions:
-            core = min(range(n_threads), key=self.core_time_ns.__getitem__)
-            body = workload.transaction(core)
-            self.dispatch_transaction(core, body)
-            dispatched += 1
-        # Measurement ends here: the paper measures N transactions of
-        # steady-state execution; the drain below (flushing every dirty
-        # line and buffered entry) exists for post-run invariants and
-        # recovery tests, and would otherwise swamp short runs with an
-        # end-of-run write burst.
-        elapsed = max(self.core_time_ns[:n_threads])
+
+    def finish(self, transactions: int) -> RunResult:
+        """End a run of ``transactions``: measure, then drain.
+
+        Measurement ends before the drain: the paper measures N
+        transactions of steady-state execution; the drain (flushing
+        every dirty line and buffered entry) exists for post-run
+        invariants and recovery tests, and would otherwise swamp short
+        runs with an end-of-run write burst.
+        """
+        elapsed = max(self.core_time_ns[: self._active_threads])
         measured = self.stats.as_dict()
         end = self.logger.drain(elapsed)
         end = self.hierarchy.drain_all(end)
@@ -505,10 +510,24 @@ class System:
             # committed.
             self._truncate_log(end)
         return RunResult(
-            transactions=dispatched,
+            transactions=transactions,
             elapsed_ns=elapsed,
             stats=measured,
         )
+
+    def run(self, workload, n_transactions: int, n_threads: Optional[int] = None) -> RunResult:
+        """Set up ``workload`` and execute ``n_transactions`` across threads.
+
+        The workload picks each transaction's core
+        (:meth:`~repro.workloads.base.Workload.next_core`).
+        """
+        if n_threads is None:
+            n_threads = self.config.cores.n_cores
+        self.start(workload, n_threads)
+        for _ in range(n_transactions):
+            core = workload.next_core(self.core_time_ns, n_threads)
+            self.dispatch_transaction(core, workload.transaction(core))
+        return self.finish(n_transactions)
 
     # ------------------------------------------------------------------
     # Crash / recovery support

@@ -6,8 +6,9 @@ thread counts) plus the ``REPRO_SCALE`` environment knob — and seeded
 workloads make every cell deterministic, so its :class:`RunResult` can be
 stored under a hash of those inputs and replayed on any later run.  The
 key is the SHA-256 of the inputs' canonical JSON (see
-:mod:`repro.experiments.serialize`); changing any keyed input, or the
-cache format version, yields a different key and therefore a miss.
+:mod:`repro.experiments.serialize`) together with a digest of the
+simulator's own code (:func:`code_digest`); changing any keyed input, or
+any byte of ``src/repro``, yields a different key and therefore a miss.
 
 Layout: ``<cache_dir>/<key[:2]>/<key>.json``, each file holding the key
 inputs (for debuggability) next to the serialized result.  Writes go
@@ -15,6 +16,8 @@ through a temp file + :func:`os.replace` so concurrent writers can never
 leave a torn entry, and corrupt/unreadable entries read as misses.
 """
 
+import functools
+import hashlib
 import json
 import os
 import tempfile
@@ -31,12 +34,38 @@ from repro.experiments.serialize import (
     strip_result_inert_encoding,
 )
 
-# Bump when the key schema, the stored result format, *or the simulated
-# results themselves* change; every existing entry then misses instead of
-# replaying stale data.  Version 2: the SLDE pair-conflict fix changed
-# encoded bit counts (and the golden SPS trace), so version-1 entries
-# hold results from the buggy encoder.
-CACHE_VERSION = 2
+
+def source_digest(root: str) -> str:
+    """SHA-256 over every ``*.py`` file under ``root``, sorted by path.
+
+    Each file contributes its path relative to ``root`` and its bytes,
+    both length-prefixed, so no two trees share a digest by accident.
+    """
+    paths = sorted(
+        os.path.relpath(os.path.join(folder, name), root).replace(os.sep, "/")
+        for folder, _dirs, names in os.walk(root)
+        for name in names
+        if name.endswith(".py")
+    )
+    digest = hashlib.sha256()
+    for path in paths:
+        with open(os.path.join(root, path), "rb") as handle:
+            data = handle.read()
+        for chunk in (path.encode(), data):
+            digest.update(b"%d:" % len(chunk))
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """:func:`source_digest` of the ``repro`` package, once per process.
+
+    Every cache key carries it, so a result cached by other simulator
+    code — a fix, a refactor, the key schema, the stored format — is a
+    miss, with nothing to remember to bump.
+    """
+    return source_digest(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 # Default location; override with --cache-dir / the REPRO_CACHE_DIR env.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -75,7 +104,7 @@ def cell_key_fields(
     """
     config_dict = strip_result_inert_encoding(config_dict)
     fields = {
-        "version": CACHE_VERSION,
+        "version": code_digest(),
         "design": design,
         "workload": workload,
         "dataset": dataset_name,
@@ -123,13 +152,13 @@ def traffic_key_fields(
 ) -> Dict[str, Any]:
     """Key inputs for one open-loop traffic cell (design × scenario).
 
-    Shares :data:`CACHE_VERSION` with the grid keys on purpose: a bump
-    that means "the simulator's results changed" must invalidate cached
-    traffic results just like cached grid results.  The ``kind`` marker
-    keeps the two key families from ever colliding.
+    Carries :func:`code_digest` like the grid keys: a simulator change
+    must invalidate cached traffic results just like cached grid
+    results.  The ``kind`` marker keeps the two key families from ever
+    colliding.
     """
     return {
-        "version": CACHE_VERSION,
+        "version": code_digest(),
         "kind": "traffic",
         "design": design,
         "traffic": traffic_dict,

@@ -1,12 +1,12 @@
 """Deterministic crash-point enumeration and recovery verification.
 
-The sweep drives a workload exactly like :meth:`System.run` (same
-dispatch order, same RNG seeds) with a crash plan installed, and at each
-fired crash point asks: *if power were cut right here, would recovery
-produce a consistent state?*  Because recovery reads only the NVMM array
-and the probe journals its logical writes, the question is answered
-in-line — one workload execution checks every crash point, instead of
-re-running the workload once per point.
+The sweep drives a workload through the same lifecycle as
+:meth:`System.run` (same dispatch order, same RNG seeds) with a crash
+plan subscribed, and at each fired crash point asks: *if power were cut
+right here, would recovery produce a consistent state?*  Because
+recovery reads only the NVMM array and the probe journals its logical
+writes, the question is answered in-line — one workload execution checks
+every crash point, instead of re-running the workload once per point.
 
 Modes:
 
@@ -43,6 +43,7 @@ from repro.core.system import CrashInjected, System
 from repro.faultinject.mutants import apply_mutant
 from repro.faultinject.oracle import Violation, WriteSetTracker, check_crash_state
 from repro.faultinject.plan import CountingPlan, CrashAt, CrashEvent, CrashPlan
+from repro.replay.replayer import TraceWorkload
 from repro.workloads.base import WorkloadParams, make_workload
 
 #: Short aliases for the sweep's design matrix.  The acceptance set is
@@ -265,7 +266,8 @@ def _drive(
     options: SweepOptions,
     trace=None,
 ) -> None:
-    """Run the workload with ``plan`` subscribed, mirroring System.run.
+    """Run the workload with ``plan`` subscribed: ``System.run`` without
+    the final drain.
 
     The plan and the tracker subscribe only after setup (setup stores
     are untimed and unlogged, hence crash-free by construction).  Raises
@@ -273,41 +275,26 @@ def _drive(
     returns None.
 
     ``trace`` (a :class:`repro.replay.StoreTrace`) swaps the workload for
-    a recorded store stream: setup replays the trace's setup stores and
-    the loop dispatches the recorded transactions on their recorded
-    cores.  A trace recorded from the same (design-config, workload,
-    seed) cell produces the identical sweep — same fired events, same
-    verdict (pinned in tests/test_replay_differential.py).
+    a recorded store stream (:class:`TraceWorkload`), of which at most
+    ``options.transactions`` run.  A trace recorded from the same
+    (design-config, workload, seed) cell produces the identical sweep —
+    same fired events, same verdict (pinned in
+    tests/test_replay_differential.py).
     """
-    bodies = cores = None
-    if trace is None:
-        workload.setup(system, options.threads)
-        limit = options.transactions
-    else:
-        from repro.replay.replayer import apply_trace_setup, trace_transaction_bodies
-
-        apply_trace_setup(system, trace)
-        bodies = trace_transaction_bodies(trace)
-        cores = trace.tx_core.tolist()
-        limit = min(options.transactions, len(bodies))
-    system.reset_measurement()
-    system._active_threads = options.threads
+    limit = options.transactions
+    if trace is not None:
+        workload = TraceWorkload(trace)
+        limit = min(limit, trace.n_transactions)
+    system.start(workload, options.threads)
     subscriptions = {
         "tx-store": tracker.on_tx_store,
         "tx-committed": tracker.on_commit,
         "crash-point": plan.fire,
     }
     with system.bus.subscribed(subscriptions):
-        for dispatched in range(limit):
-            if bodies is None:
-                core = min(
-                    range(options.threads), key=system.core_time_ns.__getitem__
-                )
-                body = workload.transaction(core)
-            else:
-                core = cores[dispatched]
-                body = bodies[dispatched]
-            system.run_transaction(core, body)
+        for _ in range(limit):
+            core = workload.next_core(system.core_time_ns, options.threads)
+            system.dispatch_transaction(core, workload.transaction(core))
 
 
 def _select_indices(options: SweepOptions, total: int) -> Optional[Set[int]]:

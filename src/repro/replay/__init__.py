@@ -10,8 +10,10 @@ that split explicit:
 - :mod:`repro.replay.recorder` — :class:`TraceRecorder`, a subscriber
   on the :class:`~repro.core.system.System`'s event bus, plus
   :func:`record_trace`, which runs one cell with recording on;
-- :mod:`repro.replay.replayer` — :func:`replay_trace`, which re-drives a
-  machine from a trace, mirroring ``System.run`` bit for bit;
+- :mod:`repro.replay.replayer` — :class:`TraceWorkload`, a trace as a
+  workload (recorded setup image, recorded transactions on their
+  recorded cores), and :func:`replay_trace`, which is ``System.run``
+  over one;
 - :mod:`repro.replay.prewarm` — the vectorized encoding fast path: batch
   classification of the trace's word pairs (numpy kernels from
   :mod:`repro.encoding.vector`) used to pre-populate the result-inert
@@ -33,7 +35,7 @@ from repro.replay.container import (
     save_trace,
 )
 from repro.replay.recorder import TraceRecorder, record_trace
-from repro.replay.replayer import apply_trace_setup, replay_trace, trace_transaction_bodies
+from repro.replay.replayer import TraceWorkload, apply_trace_setup, replay_trace
 from repro.replay.prewarm import prewarm_codecs
 
 __all__ = [
@@ -49,6 +51,6 @@ __all__ = [
     "record_trace",
     "replay_trace",
     "apply_trace_setup",
-    "trace_transaction_bodies",
+    "TraceWorkload",
     "prewarm_codecs",
 ]

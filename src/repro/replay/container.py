@@ -12,8 +12,8 @@ A :class:`StoreTrace` holds one recorded run as parallel numpy columns:
   stream plus the core each transaction was dispatched on, preserving
   the recording run's interleaving;
 - ``pair_old`` / ``pair_new`` — the old/new word of every transactional
-  store to persistent memory, the raw material of the vectorized
-  encoding fast path (dirty masks, codec prewarm).
+  store to persistent memory, as the recording run saw them (the CLI
+  reports their count; they are part of the digest).
 
 On disk the container is ``MLTR`` magic + a canonical JSON header
 (version, provenance metadata, column specs, payload SHA-256) + the raw
@@ -30,12 +30,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
-from repro.encoding.vector import require_numpy
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None
+import numpy as np
 
 MAGIC = b"MLTR"
 TRACE_VERSION = 1
@@ -96,7 +91,6 @@ class StoreTrace:
     pair_new: "np.ndarray" = field(default=None)
 
     def __post_init__(self) -> None:
-        require_numpy()
         for name, dtype in COLUMNS:
             column = np.ascontiguousarray(getattr(self, name), dtype=dtype)
             setattr(self, name, column)
@@ -116,6 +110,15 @@ class StoreTrace:
                 raise TraceError("transaction offsets must be non-decreasing")
             if int(starts[-1]) > self.op_kind.size:
                 raise TraceError("transaction offsets out of range")
+        # Every op must belong to a transaction that some thread runs;
+        # otherwise the trace loads but part of it never replays.
+        if self.op_kind.size and (not starts.size or int(starts[0]) > 0):
+            raise TraceError("ops before the first transaction belong to none")
+        if self.tx_core.size and int(self.tx_core.max()) >= self.n_threads:
+            raise TraceError(
+                "transaction on core %d, but the trace has %d threads"
+                % (int(self.tx_core.max()), self.n_threads)
+            )
 
     # -- shape ----------------------------------------------------------
 
@@ -190,7 +193,6 @@ def save_trace(path: str, trace: StoreTrace) -> str:
 
 def load_trace(path: str) -> StoreTrace:
     """Read a trace container back, validating format, version, digest."""
-    require_numpy()
     with open(path, "rb") as handle:
         raw = handle.read()
     if len(raw) < len(MAGIC) + 4 or raw[: len(MAGIC)] != MAGIC:

@@ -20,6 +20,8 @@ either way, which the differential suite pins by replaying with
 
 from typing import Dict
 
+import numpy as np
+
 from repro.common.bitops import select_bytes
 from repro.encoding.base import EncodedWord
 from repro.encoding.crade import CradeCodec
@@ -36,17 +38,11 @@ from repro.encoding.fpc import FPC_TAG_BITS, FpcCodec
 from repro.encoding.slde import ENCODING_TYPE_FLAG_BITS, SldeCodec
 from repro.encoding.vector import (
     FPC_PREFIX_PAYLOAD_BITS,
-    HAVE_NUMPY,
     vec_dirty_byte_mask,
     vec_dldc_stream_bits,
     vec_fpc_prefix,
 )
 from repro.replay.container import OP_STORE, OP_STORE_NT, StoreTrace
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None
 
 
 def _fpc_payload(word: int, prefix: int, bits: int) -> int:
@@ -185,8 +181,8 @@ def prewarm_codecs(system, trace: StoreTrace) -> Dict[str, int]:
     """Batch-classify the trace's words and seed the system's codec memos.
 
     Returns seed counts (diagnostics only).  Best-effort by design: when
-    numpy is missing, memoization is disabled, or a codec has no
-    vectorized classifier, the affected memo is simply left cold.
+    memoization is disabled or a codec has no vectorized classifier, the
+    affected memo is simply left cold.
     """
     stats = {
         "pairs": 0,
@@ -197,8 +193,6 @@ def prewarm_codecs(system, trace: StoreTrace) -> Dict[str, int]:
         "data_seeded": 0,
         "log_seeded": 0,
     }
-    if not HAVE_NUMPY:
-        return stats
     nvm = system.controller.nvm
     old = trace.pair_old
     new = trace.pair_new

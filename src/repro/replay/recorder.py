@@ -10,8 +10,7 @@ observes a normal timed run from two vantage points:
 - the :class:`~repro.core.system.System` topics capture the *dispatch
   order* (which core ran each transaction, preserving the recording
   run's interleaving) and the old/new word of every persistent
-  transactional store (the raw material for the vectorized encoding
-  fast path).
+  transactional store.
 
 Recording does not perturb the run: the subscribers only append to
 Python lists, and the recorded run's RunResult is bit-identical to an
@@ -19,6 +18,8 @@ unrecorded one (pinned in ``tests/test_replay_differential.py``).
 """
 
 from typing import Any, Dict, Optional
+
+import numpy as np
 
 from repro.replay.container import (
     OP_COMPUTE,
@@ -28,11 +29,6 @@ from repro.replay.container import (
     StoreTrace,
     TraceError,
 )
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None
 
 
 class TraceRecorder:
@@ -105,9 +101,15 @@ class TraceRecorder:
     # -- finalization ---------------------------------------------------
 
     def finish(self, meta: Optional[Dict[str, Any]] = None) -> StoreTrace:
-        """Freeze the accumulated stream into an immutable trace."""
+        """Freeze the accumulated stream into an immutable trace.
+
+        Without an ``n_threads`` entry in ``meta``, the thread count is
+        the highest recorded core plus one.
+        """
+        meta = dict(meta or {})
+        meta.setdefault("n_threads", max(self.tx_core, default=0) + 1)
         return StoreTrace(
-            meta=dict(meta or {}),
+            meta=meta,
             setup_addr=np.asarray(self.setup_addr, dtype="<u8"),
             setup_val=np.asarray(self.setup_val, dtype="<u8"),
             op_kind=np.asarray(self.op_kind, dtype="u1"),

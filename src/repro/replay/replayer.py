@@ -1,27 +1,26 @@
 """Re-driving a machine from a recorded trace.
 
-:func:`replay_trace` is the replay-side twin of ``System.run``: it
-rebuilds the pre-run memory image from the trace's setup stores, then
-dispatches each recorded transaction on its recorded core, re-issuing
-the recorded op stream through the normal :class:`TxContext` interface.
-Everything below that interface — logger, caches, NVM timing, stats —
-is the production path, untouched; same design and config therefore
-produce a bit-identical RunResult, NVM image and event trace, while a
-*different* design/config scores the identical store stream (the paper's
-Fig 12/13 sweeps over one traffic pattern).
+A :class:`TraceWorkload` is a recorded trace dressed as a
+:class:`~repro.workloads.base.Workload`: its setup rebuilds the pre-run
+memory image from the trace's setup stores, and it hands the run loop
+each recorded transaction on its recorded core, re-issuing the recorded
+op stream through the normal :class:`TxContext` interface.  So
+:func:`replay_trace` is just ``System.run``, and everything below that
+interface — logger, caches, NVM timing, stats — is the production path,
+untouched; same design and config therefore produce a bit-identical
+RunResult, NVM image and event trace, while a *different* design/config
+scores the identical store stream (the paper's Fig 12/13 sweeps over one
+traffic pattern).
 
 The only new cost model is "no cost": workload setup becomes a flat
-array replay instead of Python data-structure construction, and the
+array install instead of Python data-structure construction, and the
 optional codec prewarm (:mod:`repro.replay.prewarm`) batch-classifies
 the trace's word pairs before the loop starts.  Both are result-inert.
 """
 
 from typing import Callable, List
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None
+import numpy as np
 
 from repro.core.system import RunResult
 from repro.replay.container import (
@@ -32,6 +31,8 @@ from repro.replay.container import (
     StoreTrace,
     TraceError,
 )
+from repro.replay.prewarm import prewarm_codecs
+from repro.workloads.base import Workload
 
 
 def apply_trace_setup(system, trace: StoreTrace) -> None:
@@ -44,7 +45,7 @@ def apply_trace_setup(system, trace: StoreTrace) -> None:
     per-word ``setup_store`` calls.  With a ``setup-store`` subscriber
     (a recorder recording a replay) the publishing scalar path is kept.
     """
-    if system.bus.topic("setup-store") or np is None:
+    if system.bus.topic("setup-store"):
         store = system.setup_store
         for addr, value in zip(trace.setup_addr.tolist(), trace.setup_val.tolist()):
             store(addr, value)
@@ -81,56 +82,72 @@ def _make_body(ops) -> Callable:
     return body
 
 
-def trace_transaction_bodies(trace: StoreTrace) -> List[Callable]:
-    """One ``body(ctx)`` callable per recorded transaction, in order."""
-    kinds = trace.op_kind.tolist()
-    addrs = trace.op_addr.tolist()
-    values = trace.op_val.tolist()
-    bodies = []
-    for index in range(trace.n_transactions):
-        lo, hi = trace.transaction_bounds(index)
-        bodies.append(_make_body(list(zip(kinds[lo:hi], addrs[lo:hi], values[lo:hi]))))
-    return bodies
+class TraceWorkload(Workload):
+    """A recorded :class:`StoreTrace` as a workload.
+
+    Transactions come out in recorded order, each on its recorded core;
+    asking for more transactions than were recorded raises
+    :class:`TraceError`.  ``prewarm`` seeds the codec memos from the
+    trace after the setup image is installed (never changes results).
+    """
+
+    name = "trace-replay"
+
+    def __init__(self, trace: StoreTrace, prewarm: bool = False) -> None:
+        super().__init__()
+        self.trace = trace
+        self.prewarm = prewarm
+        self._ops: List[tuple] = []
+        self._starts: List[int] = []
+        self._cores: List[int] = []
+        self._cursor = 0
+
+    def setup(self, system, n_threads: int) -> None:
+        trace = self.trace
+        self.n_threads = n_threads
+        apply_trace_setup(system, trace)
+        if self.prewarm:
+            prewarm_codecs(system, trace)
+        self._ops = list(zip(
+            trace.op_kind.tolist(), trace.op_addr.tolist(), trace.op_val.tolist()
+        ))
+        self._starts = trace.tx_start.tolist() + [trace.n_ops]
+        self._cores = trace.tx_core.tolist()
+        self._cursor = 0
+
+    def _recorded_core(self) -> int:
+        if self._cursor >= len(self._cores):
+            raise TraceError(
+                "trace holds %d transactions; transaction %d was asked for"
+                % (len(self._cores), self._cursor + 1)
+            )
+        return self._cores[self._cursor]
+
+    def next_core(self, core_time_ns: List[float], n_threads: int) -> int:
+        return self._recorded_core()
+
+    def transaction(self, tid: int) -> Callable:
+        core = self._recorded_core()
+        if tid != core:
+            raise TraceError(
+                "transaction %d was recorded on core %d, not %d"
+                % (self._cursor, core, tid)
+            )
+        index = self._cursor
+        self._cursor += 1
+        return _make_body(self._ops[self._starts[index]:self._starts[index + 1]])
 
 
 def replay_trace(system, trace: StoreTrace, prewarm: bool = True) -> RunResult:
-    """Execute ``trace`` on ``system``; the replay-side ``System.run``.
-
-    Mirrors the run loop stage for stage (cold reset, setup, measurement
-    reset, dispatch loop, drain) so a replayed same-design run is
+    """Execute ``trace`` on ``system``: ``System.run`` over a
+    :class:`TraceWorkload`, so a replayed same-design run is
     bit-identical to the recording run.  ``prewarm=False`` skips the
-    vectorized codec prewarm (results never depend on it).
-    """
-    n_threads = trace.n_threads
-    if n_threads > system.config.cores.n_cores:
+    vectorized codec prewarm (results never depend on it)."""
+    if trace.n_threads > system.config.cores.n_cores:
         raise TraceError(
             "trace was recorded with %d threads; system has %d cores"
-            % (n_threads, system.config.cores.n_cores)
+            % (trace.n_threads, system.config.cores.n_cores)
         )
-    if system._ran:
-        system.reset_machine()
-    system._ran = True
-    apply_trace_setup(system, trace)
-    system.reset_measurement()
-    system._active_threads = n_threads
-    if prewarm:
-        from repro.replay.prewarm import prewarm_codecs
-
-        prewarm_codecs(system, trace)
-    bodies = trace_transaction_bodies(trace)
-    cores = trace.tx_core.tolist()
-    dispatched = 0
-    for core, body in zip(cores, bodies):
-        system.run_transaction(core, body)
-        dispatched += 1
-    elapsed = max(system.core_time_ns[:n_threads]) if n_threads else 0.0
-    measured = system.stats.as_dict()
-    end = system.logger.drain(elapsed)
-    end = system.hierarchy.drain_all(end)
-    if system._tx_table:
-        system._truncate_log(end)
-    return RunResult(
-        transactions=dispatched,
-        elapsed_ns=elapsed,
-        stats=measured,
+    return system.run(
+        TraceWorkload(trace, prewarm), trace.n_transactions, trace.n_threads
     )

@@ -193,17 +193,9 @@ def run_traffic_system(
 
         config = default_config()
     system = make_system(design, config)
-    if traffic.n_threads > system.config.cores.n_cores:
-        raise ValueError("more threads than cores")
-
     mixture = MixtureWorkload(
         params=traffic.workload_params(), blend=traffic.mix)
-    if system._ran:
-        system.reset_machine()
-    system._ran = True
-    mixture.setup(system, traffic.n_threads)
-    system.reset_measurement()
-    system._active_threads = traffic.n_threads
+    system.start(mixture, traffic.n_threads)
 
     seed = traffic.seed * 1_000_003
     arrivals = make_arrivals(
@@ -288,16 +280,14 @@ def run_traffic_system(
         system.bus.unsubscribe("crash-point", power_cut)
 
     admitted = traffic.arrivals - dropped
-    makespan = max(system.core_time_ns[: traffic.n_threads]) if completed else 0.0
-    measured = system.stats.as_dict()
-    if not crashed:
-        # Mirror System.run: drain for post-run invariants, but only on
-        # clean completion — a crashed machine must keep its persistence
-        # domain exactly as the power cut left it for recovery.
-        end = system.logger.drain(makespan)
-        end = system.hierarchy.drain_all(end)
-        if system._tx_table:
-            system._truncate_log(end)
+    if crashed:
+        # No drain: a crashed machine must keep its persistence domain
+        # exactly as the power cut left it, for recovery.
+        makespan = max(system.core_time_ns[: traffic.n_threads]) if completed else 0.0
+        measured = system.stats.as_dict()
+    else:
+        run = system.finish(completed)
+        makespan, measured = run.elapsed_ns, run.stats
 
     result = TrafficResult(
         design=design,

@@ -24,6 +24,7 @@ from repro.workloads.base import (
     SetupContext,
     Workload,
     WorkloadParams,
+    WORKLOADS,
     make_workload,
     MICRO_WORKLOADS,
     MACRO_WORKLOADS,
@@ -48,6 +49,7 @@ __all__ = [
     "SetupContext",
     "Workload",
     "WorkloadParams",
+    "WORKLOADS",
     "make_workload",
     "MICRO_WORKLOADS",
     "MACRO_WORKLOADS",

@@ -12,6 +12,7 @@ node/entry layout of each structure.
 """
 
 import enum
+import importlib
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
@@ -103,6 +104,14 @@ class Workload:
         """Return the next transaction body for thread ``tid``."""
         raise NotImplementedError
 
+    def next_core(self, core_time_ns: List[float], n_threads: int) -> int:
+        """The core the run loop dispatches the next transaction on.
+
+        The least-advanced core of the first ``n_threads``: threads
+        interleave at transaction granularity by simulated time.
+        """
+        return min(range(n_threads), key=core_time_ns.__getitem__)
+
     # -- plumbing ---------------------------------------------------------
 
     def setup(
@@ -179,40 +188,30 @@ MACRO_WORKLOADS = ("echo", "ycsb", "tpcc")
 MOTIVATION_EXTRAS = ("vacation", "ctree", "redis", "memcached")
 
 
+#: Every workload :func:`make_workload` builds: name -> "module:Class".
+#: The classes import lazily because their modules import this one.
+WORKLOADS: Dict[str, str] = {
+    "btree": "repro.workloads.btree:BTreeWorkload",
+    "ctree": "repro.workloads.ctree:CTreeWorkload",
+    "echo": "repro.workloads.echo:EchoWorkload",
+    "hash": "repro.workloads.hashmap:HashMapWorkload",
+    "memcached": "repro.workloads.memcached:MemcachedWorkload",
+    "mix": "repro.workloads.mixture:MixtureWorkload",
+    "queue": "repro.workloads.queue:QueueWorkload",
+    "rbtree": "repro.workloads.rbtree:RBTreeWorkload",
+    "redis": "repro.workloads.redis:RedisWorkload",
+    "sdg": "repro.workloads.sdg:SdgWorkload",
+    "sps": "repro.workloads.sps:SpsWorkload",
+    "tpcc": "repro.workloads.tpcc:TpccWorkload",
+    "vacation": "repro.workloads.vacation:VacationWorkload",
+    "ycsb": "repro.workloads.ycsb:YcsbWorkload",
+}
+
+
 def make_workload(name: str, params: Optional[WorkloadParams] = None) -> Workload:
     """Build a workload by its Table IV name."""
-    from repro.workloads.btree import BTreeWorkload
-    from repro.workloads.ctree import CTreeWorkload
-    from repro.workloads.echo import EchoWorkload
-    from repro.workloads.hashmap import HashMapWorkload
-    from repro.workloads.memcached import MemcachedWorkload
-    from repro.workloads.queue import QueueWorkload
-    from repro.workloads.rbtree import RBTreeWorkload
-    from repro.workloads.redis import RedisWorkload
-    from repro.workloads.sdg import SdgWorkload
-    from repro.workloads.sps import SpsWorkload
-    from repro.workloads.mixture import MixtureWorkload
-    from repro.workloads.tpcc import TpccWorkload
-    from repro.workloads.vacation import VacationWorkload
-    from repro.workloads.ycsb import YcsbWorkload
-
-    classes: Dict[str, type] = {
-        "btree": BTreeWorkload,
-        "ctree": CTreeWorkload,
-        "hash": HashMapWorkload,
-        "memcached": MemcachedWorkload,
-        "queue": QueueWorkload,
-        "rbtree": RBTreeWorkload,
-        "redis": RedisWorkload,
-        "sdg": SdgWorkload,
-        "sps": SpsWorkload,
-        "echo": EchoWorkload,
-        "vacation": VacationWorkload,
-        "ycsb": YcsbWorkload,
-        "tpcc": TpccWorkload,
-        "mix": MixtureWorkload,
-    }
-    if name not in classes:
+    if name not in WORKLOADS:
         raise ValueError("unknown workload %r (choose from %s)" % (
-            name, sorted(classes)))
-    return classes[name](params)
+            name, sorted(WORKLOADS)))
+    module, cls = WORKLOADS[name].split(":")
+    return getattr(importlib.import_module(module), cls)(params)

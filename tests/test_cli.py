@@ -1,8 +1,12 @@
 """CLI smoke tests."""
 
+import argparse
+import re
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _parser, main
+from repro.workloads.base import WORKLOADS
 
 
 def test_designs_listed(capsys):
@@ -29,6 +33,43 @@ def test_single_cell_commands_accept_mix(command, tmp_path, capsys):
             argv += ["--out", str(tmp_path / "trace.json")]
     assert main(argv) == 0
     assert capsys.readouterr().out
+
+
+def _choices(path, dest):
+    """The ``choices`` of argument ``dest`` under the sub-command ``path``."""
+    parser = _parser()
+    for name in path:
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return next(action.choices for action in parser._actions
+                if action.dest == dest)
+
+
+@pytest.mark.parametrize("path", [
+    ("run",), ("compare",), ("record",), ("fault-sweep",), ("trace",),
+    ("profile",), ("bench", "record"),
+], ids="-".join)
+def test_every_verb_offers_the_workload_registry(path):
+    assert sorted(_choices(path, "workload")) == sorted(WORKLOADS)
+
+
+def test_grid_checks_names_against_the_registry(tmp_path, capsys):
+    base = ["grid", "--designs", "FWB-CRADE", "--transactions", "3",
+            "--threads", "1", "--jobs", "1", "--cache-dir", str(tmp_path)]
+    assert main(base + ["--workloads", "nosuch"]) == 2
+    assert "unknown workload 'nosuch'" in capsys.readouterr().out
+    assert main(base + ["--workloads", "mix"]) == 0
+    assert "grid throughput" in capsys.readouterr().out
+
+
+def test_record_and_replay_mix(tmp_path, capsys):
+    path = str(tmp_path / "mix.mltr")
+    assert main(["record", path, "--workload", "mix",
+                 "--transactions", "4", "--threads", "1"]) == 0
+    assert "wrote 4 transactions" in capsys.readouterr().out
+    assert main(["replay", path, "--design", "MorLog-DP"]) == 0
+    assert re.search(r"replayed transactions\s+4\s", capsys.readouterr().out)
 
 
 def test_overhead_command(capsys):

@@ -288,7 +288,7 @@ class TestGridKeyStability:
     def test_key_fields_tolerate_pre_knob_configs(self):
         # Config dicts from the era before the memo knobs pass through
         # the stripping untouched (the key still differs across
-        # CACHE_VERSION bumps, by design).
+        # simulator code changes, by design).
         legacy = {"encoding": {"log_codec": "slde"}}
         fields = cell_key_fields(
             "d", "w", "SMALL", legacy, {}, 1, 1, 1.0

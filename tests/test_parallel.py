@@ -14,7 +14,7 @@ import pytest
 
 from repro.common.config import SystemConfig
 from repro.core.system import RunResult
-from repro.experiments.cache import CACHE_VERSION, CacheStats, ResultCache, cell_key
+from repro.experiments.cache import CacheStats, ResultCache, cell_key, code_digest
 from repro.experiments.parallel import (
     default_jobs,
     resolve_cell,
@@ -99,6 +99,28 @@ class TestCellKey:
     def test_key_is_stable(self):
         assert self._key() == self._key()
 
+    def test_key_follows_the_source_tree(self, tmp_path, monkeypatch):
+        from repro.experiments import cache as cache_module
+
+        def tree(name, text):
+            root = tmp_path / name
+            (root / "pkg").mkdir(parents=True)
+            (root / "a.py").write_text("x = 1\n")
+            (root / "pkg" / "b.py").write_text(text)
+            (root / "notes.txt").write_text(name)  # not source: ignored
+            return str(root)
+
+        def key(root):
+            monkeypatch.setattr(cache_module, "code_digest",
+                                lambda: cache_module.source_digest(root))
+            return self._key()
+
+        one, twin = tree("one", "y = 2\n"), tree("twin", "y = 2\n")
+        edited = tree("edited", "y = 3\n")
+        assert key(one) == key(one) == key(twin)
+        assert key(edited) != key(one)
+        assert cache_module.source_digest(one) == cache_module.source_digest(one)
+
     def test_config_change_changes_key(self):
         changed = dataclasses.replace(
             default_config(),
@@ -146,7 +168,7 @@ class TestResultCache:
 
     def test_version_is_in_key_fields(self):
         spec = resolve_cell("FWB-CRADE", "hash", DatasetSize.SMALL, TINY)
-        assert spec.key_fields()["version"] == CACHE_VERSION
+        assert spec.key_fields()["version"] == code_digest()
 
     def test_cache_stats_dict(self):
         stats = CacheStats(hits=2, misses=1, stores=1)

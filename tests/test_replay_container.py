@@ -231,6 +231,27 @@ class TestConstructionValidation:
         with pytest.raises(TraceError, match="parallel"):
             StoreTrace(meta={}, **columns)
 
+    def test_ops_without_transactions_rejected(self):
+        columns = self.empty_columns()
+        columns.update(op_kind=[0], op_addr=[0], op_val=[0])
+        with pytest.raises(TraceError, match="belong to none"):
+            StoreTrace(meta={}, **columns)
+
+    def test_ops_before_first_transaction_rejected(self):
+        columns = self.empty_columns()
+        columns.update(op_kind=[0, 0], op_addr=[0, 0], op_val=[0, 0],
+                       tx_start=[1], tx_core=[0])
+        with pytest.raises(TraceError, match="belong to none"):
+            StoreTrace(meta={}, **columns)
+
+    def test_core_beyond_thread_count_rejected(self):
+        columns = self.empty_columns()
+        columns.update(op_kind=[0], op_addr=[0], op_val=[0],
+                       tx_start=[0], tx_core=[2])
+        with pytest.raises(TraceError, match="core 2"):
+            StoreTrace(meta={"n_threads": 2}, **columns)
+        StoreTrace(meta={"n_threads": 3}, **columns)
+
     def test_recorder_rejects_bad_compute_cycles(self):
         recorder = TraceRecorder()
         with pytest.raises(TraceError):

@@ -21,9 +21,14 @@ from repro.faultinject.sweep import (
     run_sweep,
     sweep_system_config,
 )
-from repro.replay import record_trace, replay_trace
+from repro.replay import (
+    TraceError,
+    TraceRecorder,
+    TraceWorkload,
+    record_trace,
+    replay_trace,
+)
 from repro.replay.prewarm import prewarm_codecs
-from repro.replay.replayer import apply_trace_setup, trace_transaction_bodies
 from repro.trace.bus import TraceConfig
 from repro.workloads.base import WorkloadParams, make_workload
 from tests.conftest import tiny_config
@@ -125,6 +130,44 @@ class TestSameDesignBitExact:
         assert list(replay_sys.tracer.events) == list(direct_sys.tracer.events)
 
 
+class TestReplayIsARun:
+    """Replay is ``System.run`` over a :class:`TraceWorkload`, so every
+    bus subscriber sees a replay exactly as it saw the recording."""
+
+    @pytest.mark.parametrize("design", ["MorLog-SLDE", "Redo-CRADE"])
+    def test_recording_a_replay_reproduces_the_trace(self, design):
+        trace, _result, _sys = record_cell(design)
+        recorder = TraceRecorder()
+        system = make_system(design, tiny_config())
+        with system.bus.subscribed(recorder.subscriptions()):
+            replay_trace(system, trace)
+        rerecorded = recorder.finish(trace.meta)
+        assert rerecorded.n_transactions == trace.n_transactions
+        assert rerecorded.digest() == trace.digest()
+
+    def test_recorder_without_meta_counts_threads_from_cores(self):
+        trace, _result, _sys = record_cell("MorLog-SLDE")
+        recorder = TraceRecorder()
+        system = make_system("MorLog-SLDE", tiny_config())
+        with system.bus.subscribed(recorder.subscriptions()):
+            replay_trace(system, trace)
+        assert recorder.finish().n_threads == N_THREADS
+
+    def test_trace_workload_runs_out_loudly(self):
+        trace, _result, _sys = record_cell("MorLog-SLDE", n_tx=6)
+        system = make_system("MorLog-SLDE", tiny_config())
+        with pytest.raises(TraceError, match="holds 6 transactions"):
+            system.run(TraceWorkload(trace), 7, N_THREADS)
+
+    def test_trace_workload_rejects_a_foreign_core(self):
+        trace, _result, _sys = record_cell("MorLog-SLDE", n_tx=6)
+        replay = TraceWorkload(trace)
+        make_system("MorLog-SLDE", tiny_config()).start(replay, N_THREADS)
+        wrong = 1 - replay.next_core([0.0, 0.0], N_THREADS)
+        with pytest.raises(TraceError, match="recorded on core"):
+            replay.transaction(wrong)
+
+
 class TestCrossDesignReplay:
     def test_one_trace_scores_every_design_deterministically(self):
         # The paper's Fig 12/13 semantics: one recorded traffic pattern,
@@ -145,8 +188,9 @@ class TestCrossDesignReplay:
         assert len(set(elapsed.values())) > 1
 
 
-def run_crashing(system, schedule, crash_at):
-    """Dispatch (core, body) pairs until the ``crash_at``-th commit point."""
+def run_crashing(system, workload, crash_at):
+    """Dispatch ``workload``'s transactions until the ``crash_at``-th
+    commit point."""
     counter = [0]
 
     def hook():
@@ -156,8 +200,9 @@ def run_crashing(system, schedule, crash_at):
 
     power_cut = system.bus.subscribe("crash-point", at_tx_crash_points(hook))
     try:
-        for core, body in schedule:
-            system.run_transaction(core, body)
+        for _ in range(N_TX):
+            core = workload.next_core(system.core_time_ns, N_THREADS)
+            system.dispatch_transaction(core, workload.transaction(core))
     except CrashInjected:
         pass
     finally:
@@ -170,30 +215,19 @@ class TestCrashRecoveryEquality:
         crash_at = 25
         trace, _result, _sys = record_cell(design, seed=5)
 
-        # Direct side: mirror System.run's dispatch loop so the recorded
-        # schedule and this one are the same stream.
+        # Direct side: System.run's lifecycle and dispatch loop, so the
+        # recorded schedule and this one are the same stream.
         direct_sys = make_system(design, tiny_config())
         workload = make_workload("hash", cell_params(seed=5))
-        workload.setup(direct_sys, N_THREADS)
-        direct_sys.reset_measurement()
-        direct_sys._active_threads = N_THREADS
-
-        def direct_schedule():
-            for _ in range(N_TX):
-                core = min(range(N_THREADS),
-                           key=direct_sys.core_time_ns.__getitem__)
-                yield core, workload.transaction(core)
-
-        run_crashing(direct_sys, direct_schedule(), crash_at)
+        direct_sys.start(workload, N_THREADS)
+        run_crashing(direct_sys, workload, crash_at)
         direct_state = direct_sys.recover(verify_decode=True)
 
         # Replay side: same machine state rebuilt from the trace.
         replay_sys = make_system(design, tiny_config())
-        apply_trace_setup(replay_sys, trace)
-        replay_sys.reset_measurement()
-        replay_sys._active_threads = N_THREADS
-        schedule = zip(trace.tx_core.tolist(), trace_transaction_bodies(trace))
-        run_crashing(replay_sys, schedule, crash_at)
+        replay = TraceWorkload(trace)
+        replay_sys.start(replay, N_THREADS)
+        run_crashing(replay_sys, replay, crash_at)
         replay_state = replay_sys.recover(verify_decode=True)
 
         assert replay_state.committed_txids == direct_state.committed_txids

@@ -183,8 +183,10 @@ class TestSystemBasics:
         system.bus.subscribe(
             "crash-point", at_tx_crash_points(lambda: hook_calls.append(1))
         )
-        system._ran = True
-        system.reset_machine()
+        for _ in range(2):
+            # The second start cold-resets the reused machine.
+            system.start(make_workload(
+                "queue", WorkloadParams(initial_items=16, key_space=64)), 2)
         assert system.bus.topic("tx-store") == [sentinel]
         assert system.bus.topic("crash-point")
         assert system.stats.get("stores") == 0
@@ -201,6 +203,21 @@ class TestRunLoop:
         assert result.elapsed_ns > 0
         assert result.throughput_tx_per_s > 0
         assert result.nvmm_writes > 0
+
+    def test_start_dispatch_finish_equals_run(self):
+        def queue():
+            return make_workload(
+                "queue", WorkloadParams(initial_items=16, key_space=64))
+
+        expected = make_tiny_system().run(queue(), 30, n_threads=2)
+        system = make_tiny_system()
+        workload = queue()
+        system.start(workload, 2)
+        for _ in range(30):
+            core = workload.next_core(system.core_time_ns, 2)
+            system.dispatch_transaction(core, workload.transaction(core))
+        result = system.finish(30)
+        assert result == expected
 
     def test_threads_balanced(self):
         system = make_tiny_system()

@@ -1,106 +1,93 @@
-"""Trace capture / replay tests."""
+"""Trace capture, file round trip and replay of the ``.mltr`` format."""
 
-import pytest
+import numpy as np
 
-from repro.analysis.trace_io import (
-    RecordingWorkload,
-    TraceOp,
+from repro.replay import (
+    StoreTrace,
+    TraceRecorder,
     TraceWorkload,
     load_trace,
+    replay_trace,
     save_trace,
 )
+from repro.replay.container import OP_STORE
 from repro.workloads.base import WorkloadParams, make_workload
 from tests.conftest import make_tiny_system
 
 
+def _queue():
+    return make_workload(
+        "queue", WorkloadParams(initial_items=8, key_space=32, seed=3)
+    )
+
+
+def _record(n_threads, taps=None):
+    system = make_tiny_system()
+    recorder = TraceRecorder()
+    with system.bus.subscribed(recorder.subscriptions()):
+        with system.bus.subscribed(taps or {}):
+            system.run(_queue(), 20, n_threads=n_threads)
+    return recorder.finish({"n_threads": n_threads})
+
+
+def _store_tap(captured):
+    def on_tx_store(tid, txid, addr, old, new):
+        captured.append((addr, new))
+
+    return {"tx-store": on_tx_store}
+
+
 class TestTraceFormat:
-    def test_roundtrip_json(self):
-        op = TraceOp("store", 1, 0x100, 42)
-        assert TraceOp.from_json(op.to_json()) == op
-
-    def test_load_without_value(self):
-        op = TraceOp.from_json('{"op": "load", "tid": 0, "addr": 8}')
-        assert op.value is None
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError):
-            TraceOp.from_json('{"op": "prefetch", "tid": 0}')
-
     def test_file_roundtrip(self, tmp_path):
-        ops = [
-            TraceOp("begin", 0),
-            TraceOp("store", 0, 0x100, 1),
-            TraceOp("commit", 0),
-        ]
-        path = str(tmp_path / "trace.jsonl")
-        assert save_trace(path, ops) == 3
-        assert load_trace(path) == ops
+        trace = _record(2)
+        path = str(tmp_path / "trace.mltr")
+        assert save_trace(path, trace) == trace.digest()
+        loaded = load_trace(path)
+        assert loaded.digest() == trace.digest()
+        assert np.array_equal(loaded.op_val, trace.op_val)
+        assert loaded.meta == trace.meta
 
 
 class TestRecordReplay:
-    def _record(self):
-        system = make_tiny_system()
-        inner = make_workload(
-            "queue", WorkloadParams(initial_items=8, key_space=32, seed=3)
-        )
-        recorder = RecordingWorkload(inner)
-        system.run(recorder, 20, n_threads=2)
-        return recorder.ops
-
     def test_recording_captures_transactions(self):
-        ops = self._record()
-        begins = [op for op in ops if op.op == "begin"]
-        commits = [op for op in ops if op.op == "commit"]
-        stores = [op for op in ops if op.op == "store"]
-        assert len(begins) == len(commits) == 20
-        assert stores
+        trace = _record(2)
+        assert trace.n_transactions == 20
+        assert trace.n_threads == 2
+        assert set(trace.tx_core.tolist()) == {0, 1}
+        assert int((trace.op_kind == OP_STORE).sum()) > 0
 
     def test_replay_produces_same_store_stream(self):
-        # Single-threaded capture gives a deterministic dispatch count per
-        # stream, so the replayed store stream must match exactly.
+        original = []
+        trace = _record(1, _store_tap(original))
+        replayed = []
         system = make_tiny_system()
-        inner = make_workload(
-            "queue", WorkloadParams(initial_items=8, key_space=32, seed=3)
-        )
-        recorder = RecordingWorkload(inner)
-        system.run(recorder, 20, n_threads=1)
-        ops = recorder.ops
-
-        replay = TraceWorkload(ops)
-        system2 = make_tiny_system()
-        captured = []
-
-        class Tap:
-            def on_tx_store(self, tid, txid, addr, old, new):
-                captured.append((addr, new))
-
-        system2.bus.subscribe("tx-store", Tap().on_tx_store)
-        system2.run(replay, replay.total_transactions(), n_threads=1)
-        original = [(op.addr, op.value) for op in ops if op.op == "store"]
-        assert captured == original
+        with system.bus.subscribed(_store_tap(replayed)):
+            replay_trace(system, trace)
+        assert original
+        assert replayed == original
 
     def test_replay_runs_on_any_design(self):
-        ops = self._record()
+        trace = _record(2)
         for design in ("FWB-CRADE", "MorLog-DP"):
             system = make_tiny_system(design)
-            replay = TraceWorkload(ops)
-            result = system.run(replay, 10, n_threads=2)
-            assert result.transactions == 10
+            result = replay_trace(system, trace)
+            assert result.transactions == 20
             system.recover(verify_decode=True)
 
-    def test_replay_wraps_when_exhausted(self):
-        ops = [
-            TraceOp("begin", 0),
-            TraceOp("store", 0, 0x1_0000_0000, 5),
-            TraceOp("commit", 0),
-        ]
-        replay = TraceWorkload(ops)
-        system = make_tiny_system()
-        result = system.run(replay, 5, n_threads=1)
-        assert result.transactions == 5
-
     def test_install_map_seeds_memory(self):
-        replay = TraceWorkload([], install={0x1_0000_0000: 99})
+        empty = np.zeros(0, dtype=np.uint64)
+        trace = StoreTrace(
+            meta={},
+            setup_addr=[0x1_0000_0000],
+            setup_val=[99],
+            op_kind=np.zeros(0, dtype=np.uint8),
+            op_addr=empty,
+            op_val=empty,
+            tx_start=empty,
+            tx_core=np.zeros(0, dtype=np.uint32),
+            pair_old=empty,
+            pair_new=empty,
+        )
         system = make_tiny_system()
-        replay.setup(system, 1)
+        TraceWorkload(trace).setup(system, 1)
         assert system.persistent_word(0x1_0000_0000) == 99
